@@ -33,12 +33,16 @@ TRANSITION_FR = (0.05, 0.10, 0.20, 0.30)
 TRANSITION_FM = (0.20, 0.35, 0.50, 0.65)
 
 
-def config_for_method(method: str, **overrides) -> SolverConfig:
-    """Solver config for a benchmark method name; nnm maps to soft threshold."""
+def penalty_kind(method: str) -> str:
+    """Penalty kind behind a method name; nnm is soft thresholding."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    kind = SOFT if method == "nnm" else method
-    return SolverConfig(penalty_kind=kind, **overrides)
+    return SOFT if method == "nnm" else method
+
+
+def config_for_method(method: str, **overrides) -> SolverConfig:
+    """Solver config for a benchmark method name; nnm maps to soft threshold."""
+    return SolverConfig(penalty_kind=penalty_kind(method), **overrides)
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,18 @@ def _trial_seed(base_seed: int, *spawn_key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _dispatch(run_task, tasks, threads: int) -> dict:
+    """{task: run_task(task)}, over a thread pool when threads > 1.
+
+    Every task draws its own seeded instance, so the results do not depend
+    on the order the pool runs them in.
+    """
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return dict(zip(tasks, pool.map(run_task, tasks)))
+    return {task: run_task(task) for task in tasks}
+
+
 def _run_methods(X_full, X_obs, methods, configs) -> list[TrialReport]:
     reports = []
     for method in methods:
@@ -203,13 +219,9 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         spec = SyntheticSpec(m=m, n=n, f_r=f_r_values[i], f_m=f_m_values[j],
                              seed=_trial_seed(seed, i, j, t))
         X_full, X_obs = gen_synthetic(spec)
-        return key, _run_methods(X_full, X_obs, methods, configs)
+        return _run_methods(X_full, X_obs, methods, configs)
 
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run_task, tasks))
-    else:
-        results = dict(run_task(key) for key in tasks)
+    results = _dispatch(run_task, tasks, threads)
 
     shape = (len(f_r_values), len(f_m_values), len(methods))
     success_rate = np.zeros(shape)
@@ -273,14 +285,10 @@ def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int
             t0 = time.perf_counter()
             _, trace = solve(X_obs, configs[method])
             out.append((time.perf_counter() - t0, trace.iters))
-        return key, out
+        return out
 
     tasks = [(i, t) for i in range(len(ranks)) for t in range(trials)]
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run_task, tasks))
-    else:
-        results = dict(run_task(key) for key in tasks)
+    results = _dispatch(run_task, tasks, threads)
 
     mean_seconds = np.zeros((len(ranks), len(methods)))
     iters = np.zeros((len(ranks), len(methods), trials), dtype=int)

@@ -57,6 +57,9 @@ def _single_threaded_blas(enabled: bool):
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        _log("warning: --deterministic: threadpoolctl is not installed, so BLAS threads "
+             "were not limited; set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) "
+             "before starting sirmc to run BLAS single-threaded")
         yield
         return
     with threadpool_limits(limits=1):
@@ -64,14 +67,18 @@ def _single_threaded_blas(enabled: bool):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("how", "hoc", "hog", "nnm"), default="how",
+    p.add_argument("--method", choices=bench.METHODS, default="how",
                    help="penalty / solver variant (default: how)")
     p.add_argument("--shape-ratio", type=float, default=None,
                    help="shape parameter over threshold; default is the kind's strict bound")
-    p.add_argument("--rho0", type=float, default=1e-2, help="initial penalty parameter")
-    p.add_argument("--mu", type=float, default=1.05, help="penalty growth factor")
-    p.add_argument("--xi", type=float, default=1e-7, help="relative-error stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=1000, help="iteration cap")
+    p.add_argument("--rho0", type=float, default=SolverConfig.rho0,
+                   help="initial penalty parameter (default: %(default)s)")
+    p.add_argument("--mu", type=float, default=SolverConfig.mu,
+                   help="penalty growth factor (default: %(default)s)")
+    p.add_argument("--xi", type=float, default=SolverConfig.xi,
+                   help="relative-error stopping tolerance (default: %(default)s)")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                   help="iteration cap (default: %(default)s)")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -99,11 +106,9 @@ def _resolve_threads(args) -> int:
     return 1
 
 
-def _solver_config(args) -> SolverConfig:
-    kind = "soft" if args.method == "nnm" else args.method
-    return SolverConfig(penalty_kind=kind, shape_ratio=args.shape_ratio,
-                        rho0=args.rho0, mu=args.mu, xi=args.xi,
-                        max_iters=args.max_iters)
+def _solver_config(args, method: str) -> SolverConfig:
+    return bench.config_for_method(method, shape_ratio=args.shape_ratio, rho0=args.rho0,
+                                   mu=args.mu, xi=args.xi, max_iters=args.max_iters)
 
 
 def _parse_fractions(text: str, flag: str):
@@ -116,17 +121,18 @@ def _parse_fractions(text: str, flag: str):
     return vals
 
 
-def _parse_methods(text: str):
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+def _method_configs(args) -> dict:
+    """{method: solver config} for the comma-separated --methods list."""
+    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     for m in methods:
         if m not in bench.METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {', '.join(bench.METHODS)}")
-    return methods
+    return {m: _solver_config(args, m) for m in methods}
 
 
 def cmd_complete(args) -> int:
     X = matio.load_observed(args.matrix, args.mask)
-    config = _solver_config(args)
+    config = _solver_config(args, args.method)
     t0 = time.perf_counter()
     with _single_threaded_blas(args.deterministic):
         M, trace = solve(X, config)
@@ -151,18 +157,17 @@ def cmd_sweep(args) -> int:
             raise UsageError("give --preset or both --fr-values and --fm-values")
         fr_values = _parse_fractions(args.fr_values, "--fr-values")
         fm_values = _parse_fractions(args.fm_values, "--fm-values")
-    methods = _parse_methods(args.methods)
-    configs = {m: bench.config_for_method(
-        m, shape_ratio=args.shape_ratio, rho0=args.rho0, mu=args.mu,
-        xi=args.xi, max_iters=args.max_iters) for m in methods}
+    configs = _method_configs(args)
     threads = _resolve_threads(args)
     with _single_threaded_blas(args.deterministic):
-        grid = bench.phase_sweep(fr_values, fm_values, methods, args.trials,
+        grid = bench.phase_sweep(fr_values, fm_values, tuple(configs), args.trials,
                                  m=args.m, n=args.n, seed=args.seed,
                                  configs=configs, threads=threads)
     grid.to_csv(args.out)
-    _log(f"swept {len(fr_values)}x{len(fm_values)} cells x {len(methods)} methods "
+    _log(f"swept {len(fr_values)}x{len(fm_values)} cells x {len(configs)} methods "
          f"x {args.trials} trials; wrote {args.out}")
+    for method in grid.methods:
+        _log(f"{method}: {grid.success_cells(method)} cells with success rate >= 0.5")
     return EXIT_OK
 
 
@@ -173,13 +178,10 @@ def cmd_bench(args) -> int:
         ranks = tuple(int(r) for r in args.ranks.split(",")) if args.ranks else ()
     except ValueError:
         raise UsageError(f"--ranks: expected comma-separated integers, got {args.ranks!r}") from None
-    methods = _parse_methods(args.methods)
-    configs = {m: bench.config_for_method(
-        m, shape_ratio=args.shape_ratio, rho0=args.rho0, mu=args.mu,
-        xi=args.xi, max_iters=args.max_iters) for m in methods}
+    configs = _method_configs(args)
     if ranks:
         with _single_threaded_blas(args.deterministic):
-            table = bench.runtime_bench(ranks, methods, args.trials, f_m=args.fm,
+            table = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
                                         m=args.m, n=args.n, seed=args.seed,
                                         configs=configs,
                                         threads=_resolve_threads(args))
@@ -196,8 +198,7 @@ def cmd_prox_curve(args) -> int:
         raise UsageError("--step must be positive")
     if args.xmax <= args.xmin:
         raise UsageError("--xmax must exceed --xmin")
-    kind = "soft" if args.method == "nnm" else args.method
-    penalty = penalties.make_penalty(kind, args.lam, shape=args.shape)
+    penalty = penalties.make_penalty(bench.penalty_kind(args.method), args.lam, shape=args.shape)
     penalties.validate(penalty, strict=False)
     count = int(round((args.xmax - args.xmin) / args.step)) + 1
     xs = args.xmin + args.step * np.arange(count)
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("prox-curve", help="tabulate loss, prox and regularizer curves")
-    p.add_argument("--method", choices=("how", "hoc", "hog", "nnm"), default="how")
+    p.add_argument("--method", choices=bench.METHODS, default="how")
     p.add_argument("--lam", type=float, default=1.0, help="threshold")
     p.add_argument("--shape", type=float, default=None,
                    help="shape parameter value; default is the strict bound times lam")

@@ -1,12 +1,15 @@
 """ADMM solver for low-rank matrix completion with generated penalties.
 
 The model splits the data as X = M + E with E zero on the observed set, so
-the unobserved entries of M are free. Each iteration shrinks the singular
-values of D = X - E + Lambda/rho with threshold 1/rho, fills E on the
-unobserved complement, takes a multiplier step and grows rho geometrically.
-With the soft-threshold penalty this is a nuclear-norm-minimization
-baseline built on the exact same scaffold, so benchmark comparisons vary
-only the regularizer.
+the unobserved entries of M are free. The E-step has a closed form: E is
+-M off the observed set (the multiplier Lambda is zero there) and 0 on it.
+E is therefore never stored. Each iteration shrinks the singular values of
+D = where(observed, X + Lambda/rho, M) with threshold 1/rho, forms the
+residual r = where(observed, X - M, 0) that the implicit E leaves, takes
+the multiplier step Lambda += rho * r and grows rho geometrically. With the
+soft-threshold penalty this is a nuclear-norm-minimization baseline built
+on the exact same scaffold, so benchmark comparisons vary only the
+regularizer.
 """
 
 from __future__ import annotations
@@ -19,14 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    BiasConstraintViolated,
     EmptyObservation,
     NonFiniteInput,
     NonFiniteIterate,
     NonPositiveParameter,
     ZeroNormInput,
 )
-from .penalties import HOC, HOG, HOW, SOFT, STRICT_SHAPE_RATIO, Penalty, make_penalty
+from .penalties import HOC, HOG, HOW, SOFT, Penalty, make_penalty, validate
 from .spectral import shrink_singular_values
 
 SOLVER_KINDS = (HOW, HOC, HOG, SOFT)
@@ -94,51 +96,44 @@ class SolverConfig:
             raise NonPositiveParameter(f"xi must be positive, got {self.xi}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.shape_ratio is not None and self.penalty_kind != SOFT:
-            bound = STRICT_SHAPE_RATIO[self.penalty_kind]
-            if not self.shape_ratio > 0:
-                raise NonPositiveParameter(f"shape_ratio must be positive, got {self.shape_ratio}")
-            if self.shape_ratio > bound * (1 + 1e-12):
-                raise BiasConstraintViolated(
-                    f"shape_ratio {self.shape_ratio} exceeds the {self.penalty_kind} bound {bound:.6f}"
-                )
-
-    def resolved_ratio(self) -> float:
-        if self.penalty_kind == SOFT:
-            return 1.0  # unused
-        return STRICT_SHAPE_RATIO[self.penalty_kind] if self.shape_ratio is None else self.shape_ratio
+        # The shape ratio is checked on the first iteration's penalty, by the
+        # same rules as any penalty; the ratio is the same at every threshold.
+        validate(self.penalty_at(self.rho0))
 
     def penalty_at(self, rho: float) -> Penalty:
-        """Penalty for the current iteration: threshold 1/rho, shape tied to it."""
+        """Penalty for the current iteration: threshold 1/rho, shape tied to it
+        (the kind's strict bound times 1/rho unless shape_ratio is given)."""
         lam = 1.0 / rho
-        if self.penalty_kind == SOFT:
-            return make_penalty(SOFT, lam)
-        return make_penalty(self.penalty_kind, lam, shape=self.resolved_ratio() * lam)
+        shape = None if self.shape_ratio is None else self.shape_ratio * lam
+        return make_penalty(self.penalty_kind, lam, shape=shape)
 
 
 @dataclass
 class SolverState:
-    """ADMM iterates: estimate M, complement fill E, multiplier Lambda."""
+    """ADMM iterates: estimate M, multiplier Lambda, penalty rho, count k.
+
+    Lambda is zero off the observed set; only its observed entries are read.
+    The complement fill E is implicit: -M off the observed set, 0 on it.
+    """
 
     M: np.ndarray
-    E: np.ndarray
     Lambda: np.ndarray
     rho: float
     k: int = 0
 
     @classmethod
     def initial(cls, X: ObservedMatrix, config: SolverConfig) -> "SolverState":
-        z = np.zeros(X.shape)
-        return cls(M=z.copy(), E=z.copy(), Lambda=z.copy(), rho=config.rho0, k=0)
+        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.shape), rho=config.rho0, k=0)
 
 
 @dataclass
 class IterTrace:
     """Per-iteration history of a solve run.
 
-    rel_e is ||X - M - E||_F / ||X||_F after the iteration's updates; the
-    iterate norms are kept for boundedness diagnostics and are not part of
-    the CSV schema.
+    rel_e is ||P_O(X - M)||_F / ||P_O X||_F after the iteration's updates,
+    the observed-set residual that the implicit E leaves (feas is its
+    numerator); the iterate norms are kept for boundedness diagnostics and
+    are not part of the CSV schema.
     """
 
     rel_e: list = field(default_factory=list)
@@ -147,7 +142,6 @@ class IterTrace:
     rho: list = field(default_factory=list)
     wall_time: list = field(default_factory=list)
     norm_m: list = field(default_factory=list)
-    norm_e: list = field(default_factory=list)
     norm_lambda: list = field(default_factory=list)
     norm_x: float = 0.0
     max_iters_reached: bool = False
@@ -173,27 +167,27 @@ class IterTrace:
 
 
 def update_m(state: SolverState, X: ObservedMatrix, config: SolverConfig) -> np.ndarray:
-    """Estimate update: singular-value shrinkage of D = X - E + Lambda/rho."""
-    D = X.values - state.E + state.Lambda / state.rho
+    """Estimate update: singular-value shrinkage of D = X - E + Lambda/rho,
+    which with the implicit E is X + Lambda/rho on the observed set and M off it."""
+    D = np.where(X.mask, X.values + state.Lambda / state.rho, state.M)
     return shrink_singular_values(D, config.penalty_at(state.rho))
 
 
-def update_e(state: SolverState, M_new: np.ndarray, X: ObservedMatrix) -> np.ndarray:
-    """Complement fill: E = Lambda/rho - M off the observed set, 0 on it.
+def update_e(M_new: np.ndarray, X: ObservedMatrix) -> np.ndarray:
+    """E-step in closed form, returned as the residual X - M - E it leaves.
 
-    This is the exact minimizer of the E-subproblem (unobserved entries of
-    the data are zero by convention).
+    The exact minimizer of the E-subproblem is E = Lambda/rho - M off the
+    observed set and 0 on it; with Lambda zero off the set that is -M, so
+    the residual is X - M on the observed set and 0 off it.
     """
-    return np.where(X.mask, 0.0, state.Lambda / state.rho - M_new)
+    return np.where(X.mask, X.values - M_new, 0.0)
 
 
-def update_multiplier_and_rho(state: SolverState, X: ObservedMatrix,
+def update_multiplier_and_rho(state: SolverState, residual: np.ndarray,
                               config: SolverConfig) -> SolverState:
     """Multiplier step on the residual, then grow rho by mu; k advances."""
-    residual = X.values - state.M - state.E
     return SolverState(
         M=state.M,
-        E=state.E,
         Lambda=state.Lambda + state.rho * residual,
         rho=config.mu * state.rho,
         k=state.k + 1,
@@ -227,14 +221,12 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
             ) from exc
         if not np.isfinite(M_new).all():
             raise NonFiniteIterate(f"estimate went non-finite at iteration {state.k + 1}")
-        E_new = update_e(state, M_new, X)
+        residual = update_e(M_new, X)
         delta_m = float(np.linalg.norm(M_new - state.M))
         state.M = M_new
-        state.E = E_new
-        residual = X.values - state.M - state.E
         feas = float(np.linalg.norm(residual))
         rel_e = feas / norm_x
-        state = update_multiplier_and_rho(state, X, config)
+        state = update_multiplier_and_rho(state, residual, config)
         elapsed = time.perf_counter() - t0
 
         trace.rel_e.append(rel_e)
@@ -243,7 +235,6 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
         trace.rho.append(rho_k)
         trace.wall_time.append(elapsed)
         trace.norm_m.append(float(np.linalg.norm(state.M)))
-        trace.norm_e.append(float(np.linalg.norm(state.E)))
         trace.norm_lambda.append(float(np.linalg.norm(state.Lambda)))
 
         if rel_e <= config.xi:
@@ -260,9 +251,9 @@ def augmented_lagrangian(state: SolverState, X: ObservedMatrix, config: SolverCo
     """Scaled augmented Lagrangian value, for desk-scale diagnostics only.
 
     (1/rho) * sum_i reg(sigma_i(M)) + (1/2)||X - M - E||_F^2
-    + (1/rho) <Lambda, X - M - E>, with the regularizer reconstructed
-    numerically on each singular value (threshold 1/rho). Not used inside
-    the solve loop.
+    + (1/rho) <Lambda, X - M - E> at the implicit E, so the residual
+    X - M - E is P_O(X - M); the regularizer is reconstructed numerically
+    on each singular value (threshold 1/rho). Not used inside the solve loop.
     """
     from .penalties import implicit_regularizer
 
@@ -270,7 +261,7 @@ def augmented_lagrangian(state: SolverState, X: ObservedMatrix, config: SolverCo
     penalty = config.penalty_at(rho)
     sv = np.linalg.svd(state.M, compute_uv=False)
     reg_total = float(np.sum(implicit_regularizer(penalty, sv, grid_step=grid_step)))
-    residual = X.values - state.M - state.E
+    residual = update_e(state.M, X)
     return (
         reg_total / rho
         + 0.5 * float(np.sum(residual * residual))
@@ -284,7 +275,6 @@ class ConvergenceReport:
     the estimate step and feasibility residual settled."""
 
     max_norm_m: float
-    max_norm_e: float
     max_norm_lambda: float
     final_rel_e: float
     final_delta_m: float
@@ -317,7 +307,6 @@ def convergence_diagnostics(trace: IterTrace, window: int = 10,
         flags.append("feas_stalled")
     return ConvergenceReport(
         max_norm_m=max(trace.norm_m),
-        max_norm_e=max(trace.norm_e),
         max_norm_lambda=max(trace.norm_lambda),
         final_rel_e=trace.rel_e[-1],
         final_delta_m=trace.delta_m[-1],

@@ -113,17 +113,17 @@ def soft_threshold(lam: float) -> Penalty:
 
 def how(lam: float, sigma: float | None = None) -> Penalty:
     """Hybrid quadratic/Welsch penalty; sigma defaults to sqrt(2)*lam."""
-    return Penalty(HOW, lam, STRICT_SHAPE_RATIO[HOW] * lam if sigma is None else sigma)
+    return make_penalty(HOW, lam, shape=sigma)
 
 
 def hoc(lam: float, gamma: float | None = None) -> Penalty:
     """Hybrid quadratic/Cauchy penalty; gamma defaults to lam."""
-    return Penalty(HOC, lam, STRICT_SHAPE_RATIO[HOC] * lam if gamma is None else gamma)
+    return make_penalty(HOC, lam, shape=gamma)
 
 
 def hog(lam: float, tau: float | None = None) -> Penalty:
     """Hybrid quadratic/GMC penalty; tau defaults to sqrt(3)/2*lam."""
-    return Penalty(HOG, lam, STRICT_SHAPE_RATIO[HOG] * lam if tau is None else tau)
+    return make_penalty(HOG, lam, shape=tau)
 
 
 def generic(lam: float, generator: GeneratorFunction) -> Penalty:
@@ -132,7 +132,8 @@ def generic(lam: float, generator: GeneratorFunction) -> Penalty:
 
 def make_penalty(kind: str, lam: float, shape: float | None = None,
                  generator: GeneratorFunction | None = None) -> Penalty:
-    """Factory keyed on kind name; shape falls back to the kind's default."""
+    """Factory keyed on kind name; shape falls back to the kind's default,
+    its strict bound times lam. Soft thresholding ignores shape."""
     if kind == SOFT:
         return soft_threshold(lam)
     if kind == GENERIC:
@@ -195,7 +196,7 @@ def continuity_constants(generator: GeneratorFunction, lam: float) -> Continuity
 
 
 def validate(penalty: Penalty, strict: bool = True) -> None:
-    """Check parameter positivity and, in strict mode, bias dominance.
+    """In strict mode, check bias dominance; certify generic penalties.
 
     Strict mode enforces the shape bound under which the shrinkage amount
     decays beyond the threshold (sigma <= sqrt(2)*lam, gamma <= lam,
@@ -204,14 +205,9 @@ def validate(penalty: Penalty, strict: bool = True) -> None:
     (sampled tail derivative nonnegative and nondecreasing), and in strict
     mode that h is concave beyond the threshold.
     """
-    # Re-run the constructor checks so hand-built instances are covered too.
-    if not (penalty.lam > 0.0 and math.isfinite(penalty.lam)):
-        raise NonPositiveParameter(f"lam must be positive, got {penalty.lam}")
+    # Positivity is checked by Penalty.__post_init__, which every instance
+    # (frozen, so never mutated afterwards) has passed.
     if penalty.kind in STRICT_SHAPE_RATIO:
-        if penalty.shape is None or not (penalty.shape > 0.0 and math.isfinite(penalty.shape)):
-            raise NonPositiveParameter(
-                f"{penalty.kind} needs a positive shape parameter, got {penalty.shape}"
-            )
         if strict and penalty.shape > STRICT_SHAPE_RATIO[penalty.kind] * penalty.lam * (1 + 1e-12):
             raise BiasConstraintViolated(
                 f"{penalty.kind}: shape {penalty.shape} exceeds "

@@ -71,7 +71,7 @@ class TestComplete:
 
 
 class TestSweep:
-    def test_paper_grid_row_count(self, tmp_path):
+    def test_paper_grid_row_count(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code = main(["sweep", "--preset", "paper-grid", "--trials", "1",
                      "--methods", "how", "--m", "40", "--n", "30",
@@ -79,6 +79,9 @@ class TestSweep:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 3 * 3 * 1
+        rates = [float(line.split(",")[3]) for line in lines[1:]]
+        assert (f"how: {sum(r >= 0.5 for r in rates)} cells with success rate >= 0.5"
+                in capsys.readouterr().err.splitlines())
 
     def test_zero_trials_usage_error(self, tmp_path):
         code = main(["sweep", "--preset", "paper-grid", "--trials", "0",
@@ -183,6 +186,15 @@ class TestParsing:
                      "--trials", "1", "--methods", "how", "--m", "20", "--n", "15",
                      *FAST_SOLVER, "--out", str(out)])
         assert code == 1
+
+    def test_deterministic_warns_when_blas_threads_not_limited(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        inp = _write_matrix(tmp_path / "in.csv", np.eye(4) * 3.0)
+        code = main(["complete", inp, "--method", "nnm", "--deterministic",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        assert capsys.readouterr().err.count("BLAS threads were not limited") == 1
 
     def test_unknown_flag_exit_one(self, tmp_path):
         assert main(["complete", "x.csv", "--bogus", "--out", "o.csv"]) == 1

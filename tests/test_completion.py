@@ -1,7 +1,10 @@
 """ADMM solver: update formulas, optimality of the subproblem solutions,
-convergence behavior, and diagnostics."""
+convergence behavior, diagnostics, and parity with the dense three-block
+reference loop."""
 
 import math
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,14 +23,19 @@ from sirmc import (
     solve,
     SyntheticSpec,
 )
+from sirmc import bench, completion
 from sirmc.completion import update_e, update_m, update_multiplier_and_rho
 from sirmc.errors import (
     BiasConstraintViolated,
     EmptyObservation,
     NonFiniteInput,
     NonFiniteIterate,
+    NonPositiveParameter,
     ZeroNormInput,
 )
+from sirmc.penalties import STRICT_SHAPE_RATIO
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _full(values):
@@ -66,10 +74,19 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(mu=1.0)
 
-    def test_shape_ratio_bound(self):
-        with pytest.raises(BiasConstraintViolated):
-            SolverConfig(penalty_kind="hoc", shape_ratio=1.2)
-        SolverConfig(penalty_kind="hoc", shape_ratio=0.8)
+    @pytest.mark.parametrize("kind", ["how", "hoc", "hog"])
+    @pytest.mark.parametrize("case", ["zero", "negative", "nan", "over_bound"])
+    def test_shape_ratio_bound(self, kind, case):
+        bound = STRICT_SHAPE_RATIO[kind]
+        ratio, error = {"zero": (0.0, NonPositiveParameter),
+                        "negative": (-1.0, NonPositiveParameter),
+                        "nan": (math.nan, NonPositiveParameter),
+                        "over_bound": (1.01 * bound, BiasConstraintViolated)}[case]
+        with pytest.raises(error) as caught:
+            SolverConfig(penalty_kind=kind, shape_ratio=ratio)
+        assert type(caught.value) is error
+        SolverConfig(penalty_kind=kind, shape_ratio=bound)
+        SolverConfig(penalty_kind=kind, shape_ratio=0.8 * bound)
 
     def test_penalty_at_couples_shape_to_threshold(self):
         cfg = SolverConfig(penalty_kind="how")
@@ -110,9 +127,10 @@ class TestUpdateM:
         X = ObservedMatrix(rng.standard_normal((3, 3)) * 2.0, mask)
         cfg = SolverConfig(penalty_kind="how", rho0=1.0)
         state = SolverState.initial(X, cfg)
-        state.E = np.where(mask, 0.0, rng.standard_normal((3, 3)) * 0.1)
-        state.Lambda = rng.standard_normal((3, 3)) * 0.1
-        D = X.values - state.E + state.Lambda / state.rho
+        state.M = rng.standard_normal((3, 3))
+        state.Lambda = np.where(mask, rng.standard_normal((3, 3)) * 0.1, 0.0)
+        E = np.where(mask, 0.0, -state.M)  # the implicit complement fill
+        D = X.values - E + state.Lambda / state.rho
         M_star = update_m(state, X, cfg)
         penalty = cfg.penalty_at(state.rho)
         grid_tol = penalty.lam / 200
@@ -129,42 +147,44 @@ class TestUpdateM:
 
 
 class TestUpdateE:
+    """update_e is the E-step in closed form, returned as the residual
+    X - M - E that the minimizer E = -M (off the observed set) leaves."""
+
     def test_zero_multiplier(self):
         mask = np.array([[True, False], [False, True]])
         X = ObservedMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]), mask)
-        cfg = SolverConfig()
-        state = SolverState.initial(X, cfg)
         M_new = np.full((2, 2), 0.7)
-        E = update_e(state, M_new, X)
+        residual = update_e(M_new, X)
+        assert np.array_equal(residual[mask], X.values[mask] - 0.7)
+        assert np.array_equal(residual[~mask], np.zeros(2))
+        E = X.values - M_new - residual
         assert np.array_equal(E[mask], np.zeros(2))
         assert np.array_equal(E[~mask], -M_new[~mask])
 
     def test_fully_observed_gives_zero(self):
         X = _full(np.ones((3, 3)))
-        state = SolverState.initial(X, SolverConfig())
-        assert np.array_equal(update_e(state, np.ones((3, 3)), X), np.zeros((3, 3)))
+        assert np.array_equal(update_e(np.ones((3, 3)), X), np.zeros((3, 3)))
 
     def test_single_cell_formula(self):
         mask = np.array([[True, False]])
         X = ObservedMatrix(np.array([[1.0, 0.0]]), mask)
-        state = SolverState(M=np.zeros((1, 2)), E=np.zeros((1, 2)),
-                            Lambda=np.array([[0.0, 2.0]]), rho=4.0)
-        M_new = np.array([[0.5, 0.25]])
-        E = update_e(state, M_new, X)
-        assert E[0, 1] == pytest.approx(2.0 / 4.0 - 0.25, rel=1e-15)
+        residual = update_e(np.array([[0.5, 0.25]]), X)
+        assert residual[0, 0] == 1.0 - 0.5
+        assert residual[0, 1] == 0.0
 
     def test_first_order_optimality(self):
-        # E-update is the exact minimizer of a quadratic; no perturbation on
-        # the unobserved set may lower the objective.
+        # The implicit E is the exact minimizer of the E-subproblem, a
+        # quadratic over the unobserved set; no perturbation there may lower
+        # the objective. Lambda is zero off the observed set, as in solve.
         rng = np.random.Generator(np.random.Philox(23))
         mask = rng.uniform(size=(5, 4)) < 0.6
         mask[0, 0] = True
         X = ObservedMatrix(np.where(mask, rng.standard_normal((5, 4)), 0.0), mask)
         state = SolverState(M=rng.standard_normal((5, 4)),
-                            E=np.zeros((5, 4)),
-                            Lambda=rng.standard_normal((5, 4)), rho=2.5)
+                            Lambda=np.where(mask, rng.standard_normal((5, 4)), 0.0), rho=2.5)
         M_new = rng.standard_normal((5, 4))
-        E_star = update_e(state, M_new, X)
+        E_star = X.values - M_new - update_e(M_new, X)
+        assert np.array_equal(E_star[mask], np.zeros(int(mask.sum())))
 
         def objective(E):
             target = X.values - M_new + state.Lambda / state.rho
@@ -178,11 +198,9 @@ class TestUpdateE:
 
 class TestMultiplierAndRho:
     def test_zero_residual_leaves_multiplier(self):
-        X = _full(np.ones((2, 2)))
-        state = SolverState(M=np.ones((2, 2)), E=np.zeros((2, 2)),
-                            Lambda=np.full((2, 2), 0.3), rho=1.0, k=4)
+        state = SolverState(M=np.ones((2, 2)), Lambda=np.full((2, 2), 0.3), rho=1.0, k=4)
         cfg = SolverConfig()
-        new = update_multiplier_and_rho(state, X, cfg)
+        new = update_multiplier_and_rho(state, np.zeros((2, 2)), cfg)
         assert np.array_equal(new.Lambda, state.Lambda)
         assert new.rho == pytest.approx(1.05, rel=1e-15)
         assert new.k == 5
@@ -190,9 +208,8 @@ class TestMultiplierAndRho:
     def test_residual_arithmetic(self):
         mask = np.array([[True]])
         X = ObservedMatrix(np.array([[3.0]]), mask)
-        state = SolverState(M=np.array([[1.0]]), E=np.array([[0.0]]),
-                            Lambda=np.array([[1.0]]), rho=3.0)
-        new = update_multiplier_and_rho(state, X, SolverConfig())
+        state = SolverState(M=np.array([[1.0]]), Lambda=np.array([[1.0]]), rho=3.0)
+        new = update_multiplier_and_rho(state, update_e(state.M, X), SolverConfig())
         assert new.Lambda[0, 0] == pytest.approx(1.0 + 3.0 * 2.0, rel=1e-15)
 
 
@@ -210,12 +227,16 @@ class TestSolve:
         _, X_obs = gen_synthetic(spec)
         cfg = SolverConfig(penalty_kind="how", max_iters=40)
         state = SolverState.initial(X_obs, cfg)
+        off = ~X_obs.mask
         for _ in range(10):
             M_new = update_m(state, X_obs, cfg)
-            E_new = update_e(state, M_new, X_obs)
-            assert np.array_equal(E_new[X_obs.mask], np.zeros(X_obs.n_observed))
-            state.M, state.E = M_new, E_new
-            state = update_multiplier_and_rho(state, X_obs, cfg)
+            residual = update_e(M_new, X_obs)
+            E = X_obs.values - M_new - residual
+            assert np.array_equal(E[X_obs.mask], np.zeros(X_obs.n_observed))
+            assert np.array_equal(residual[off], np.zeros(int(off.sum())))
+            state.M = M_new
+            state = update_multiplier_and_rho(state, residual, cfg)
+            assert np.array_equal(state.Lambda[off], np.zeros(int(off.sum())))
 
     def test_rho_schedule_is_exact_geometric(self):
         spec = SyntheticSpec(m=10, n=8, f_r=0.2, f_m=0.2, seed=1)
@@ -281,9 +302,8 @@ class TestAugmentedLagrangian:
         mask = np.array([[True, False], [True, True]])
         X = ObservedMatrix(np.array([[2.0, 0.0], [1.0, 0.5]]), mask)
         M = np.array([[2.0, 0.7], [1.0, 0.5]])
-        E = np.where(mask, 0.0, X.values - M)
         cfg = SolverConfig(penalty_kind="how", rho0=1.0)
-        state = SolverState(M=M, E=E, Lambda=np.full((2, 2), 0.4), rho=1.0)
+        state = SolverState(M=M, Lambda=np.full((2, 2), 0.4), rho=1.0)
         penalty = cfg.penalty_at(1.0)
         sv = np.linalg.svd(M, compute_uv=False)
         expected = float(np.sum(implicit_regularizer(penalty, sv)))
@@ -294,12 +314,11 @@ class TestAugmentedLagrangian:
         # diagonal M the nuclear norm is the sum of |diagonal| values.
         X = _full(np.array([[3.0, 0.0], [0.0, 1.0]]))
         M = np.diag([2.0, 0.5])
-        E = np.zeros((2, 2))
         Lam = np.array([[0.2, 0.0], [0.0, -0.1]])
         rho = 1.0
         cfg = SolverConfig(penalty_kind="soft", rho0=rho)
-        state = SolverState(M=M, E=E, Lambda=Lam, rho=rho)
-        residual = X.values - M - E
+        state = SolverState(M=M, Lambda=Lam, rho=rho)
+        residual = X.values - M  # fully observed, so the implicit E is 0
         by_hand = (2.0 + 0.5) / rho + 0.5 * np.sum(residual ** 2) \
             + np.sum(Lam * residual) / rho
         assert augmented_lagrangian(state, X, cfg) == pytest.approx(by_hand, abs=1e-6)
@@ -315,7 +334,6 @@ class TestConvergenceDiagnostics:
             rho=[1.0] * n,
             wall_time=[0.01] * n,
             norm_m=[1.0] * n,
-            norm_e=[0.5] * n,
             norm_lambda=[0.2] * n,
             norm_x=10.0,
             max_iters_reached=capped,
@@ -342,3 +360,57 @@ class TestConvergenceDiagnostics:
             self._trace([1.0, 0.1], [1e-7, 1e-8], capped=False))
         assert report.max_norm_m == 1.0
         assert report.max_norm_lambda == 0.2
+
+
+def _reference_solve(X, config):
+    """The dense three-block ADMM over (M, E, Lambda) that the solver's loop
+    replaces: E is filled explicitly as Lambda/rho - M off the observed set
+    and the residual X - M - E is formed from all three blocks."""
+    norm_x = float(np.linalg.norm(X.values))
+    M = np.zeros(X.shape)
+    E = np.zeros(X.shape)
+    Lam = np.zeros(X.shape)
+    rho = config.rho0
+    rel_e = []
+    while True:
+        M = shrink_singular_values(X.values - E + Lam / rho, config.penalty_at(rho))
+        E = np.where(X.mask, 0.0, Lam / rho - M)
+        residual = X.values - M - E
+        rel_e.append(float(np.linalg.norm(residual)) / norm_x)
+        Lam = Lam + rho * residual
+        rho = config.mu * rho
+        if rel_e[-1] <= config.xi or len(rel_e) >= config.max_iters:
+            return M, rel_e
+
+
+@pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
+def test_solve_matches_dense_reference(method):
+    _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
+    cfg = bench.config_for_method(method)
+    M_ref, rel_e_ref = _reference_solve(X_obs, cfg)
+    M, trace = solve(X_obs, cfg)
+    assert len(rel_e_ref) < cfg.max_iters  # the reference converged
+    assert trace.iters == len(rel_e_ref)
+    assert np.array_equal(M, M_ref)
+    np.testing.assert_allclose(trace.rel_e, rel_e_ref, rtol=1e-15, atol=0.0)
+
+
+def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
+    # The benchmark's tracer patches the module attributes that solve looks
+    # up at call time; renaming or inlining a step would break traced runs.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import tracing
+
+    _, X_obs = gen_synthetic(SyntheticSpec(m=20, n=15, f_r=0.1, f_m=0.3, seed=9))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, trace = completion.solve(X_obs, SolverConfig(penalty_kind="how", mu=1.3))
+    finally:
+        tracer.uninstall()
+    counts = Counter(span[2] for span in tracer.spans)
+    assert counts["completion.solve"] == 1
+    for step in ("update_m", "update_e", "update_multiplier_and_rho"):
+        assert counts[f"completion.{step}"] == trace.iters
+    assert counts["spectral.svd"] == trace.iters
+    assert tracing.solve_parts_fault(tracer.spans) is None
