@@ -10,6 +10,11 @@ the multiplier step Lambda += rho * r and grows rho geometrically. With the
 soft-threshold penalty this is a nuclear-norm-minimization baseline built
 on the exact same scaffold, so benchmark comparisons vary only the
 regularizer.
+
+The state also carries V, the right singular vectors of M's nonzero
+singular values. Each shrink starts from it and, when that certifies,
+computes only the singular values above 1/rho (see spectral); the trace
+records how many survived and whether the dense SVD ran.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     ZeroNormInput,
 )
 from .penalties import HOC, HOG, HOW, SOFT, Penalty, make_penalty, validate
-from .spectral import shrink_singular_values
+from .spectral import Shrinkage, shrink_singular_values
 
 SOLVER_KINDS = (HOW, HOC, HOG, SOFT)
 
@@ -114,12 +119,19 @@ class SolverState:
 
     Lambda is zero off the observed set; only its observed entries are read.
     The complement fill E is implicit: -M off the observed set, 0 on it.
+    V holds the right singular vectors of M's nonzero singular values (a
+    factor of M, n x 0 for M = 0); the shrink step warm-starts from it.
     """
 
     M: np.ndarray
     Lambda: np.ndarray
     rho: float
     k: int = 0
+    V: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.V is None:
+            self.V = np.zeros((self.M.shape[1], 0))
 
     @classmethod
     def initial(cls, X: ObservedMatrix, config: SolverConfig) -> "SolverState":
@@ -133,7 +145,9 @@ class IterTrace:
     rel_e is ||P_O(X - M)||_F / ||P_O X||_F after the iteration's updates,
     the observed-set residual that the implicit E leaves (feas is its
     numerator); the iterate norms are kept for boundedness diagnostics and
-    are not part of the CSV schema.
+    are not part of the CSV schema. kept_rank is the number of singular
+    values above the threshold 1/rho, and dense_svd whether the shrink ran
+    the dense SVD rather than the truncated one.
     """
 
     rel_e: list = field(default_factory=list)
@@ -143,6 +157,8 @@ class IterTrace:
     wall_time: list = field(default_factory=list)
     norm_m: list = field(default_factory=list)
     norm_lambda: list = field(default_factory=list)
+    kept_rank: list = field(default_factory=list)
+    dense_svd: list = field(default_factory=list)
     norm_x: float = 0.0
     max_iters_reached: bool = False
 
@@ -158,19 +174,21 @@ class IterTrace:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("k,rel_E,delta_M,feas,rho,wall_time_s\n")
+            f.write("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd\n")
             for k in range(len(self.rel_e)):
                 f.write(
                     f"{k + 1},{self.rel_e[k]!r},{self.delta_m[k]!r},"
-                    f"{self.feas[k]!r},{self.rho[k]!r},{self.wall_time[k]!r}\n"
+                    f"{self.feas[k]!r},{self.rho[k]!r},{self.wall_time[k]!r},"
+                    f"{self.kept_rank[k]},{int(self.dense_svd[k])}\n"
                 )
 
 
-def update_m(state: SolverState, X: ObservedMatrix, config: SolverConfig) -> np.ndarray:
+def update_m(state: SolverState, X: ObservedMatrix, config: SolverConfig) -> Shrinkage:
     """Estimate update: singular-value shrinkage of D = X - E + Lambda/rho,
-    which with the implicit E is X + Lambda/rho on the observed set and M off it."""
+    which with the implicit E is X + Lambda/rho on the observed set and M off it,
+    warm-started from the current estimate's right singular vectors."""
     D = np.where(X.mask, X.values + state.Lambda / state.rho, state.M)
-    return shrink_singular_values(D, config.penalty_at(state.rho))
+    return shrink_singular_values(D, config.penalty_at(state.rho), start=state.V)
 
 
 def update_e(M_new: np.ndarray, X: ObservedMatrix) -> np.ndarray:
@@ -191,6 +209,7 @@ def update_multiplier_and_rho(state: SolverState, residual: np.ndarray,
         Lambda=state.Lambda + state.rho * residual,
         rho=config.mu * state.rho,
         k=state.k + 1,
+        V=state.V,
     )
 
 
@@ -214,16 +233,16 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
         if not math.isfinite(rho_k):
             raise NonFiniteIterate(f"rho overflowed at iteration {state.k + 1}")
         try:
-            M_new = update_m(state, X, config)
+            shrunk = update_m(state, X, config)
         except NonFiniteInput as exc:
             raise NonFiniteIterate(
                 f"iterates went non-finite at iteration {state.k + 1}: {exc}"
             ) from exc
-        if not np.isfinite(M_new).all():
+        if not shrunk.finite:
             raise NonFiniteIterate(f"estimate went non-finite at iteration {state.k + 1}")
-        residual = update_e(M_new, X)
-        delta_m = float(np.linalg.norm(M_new - state.M))
-        state.M = M_new
+        residual = update_e(shrunk.M, X)
+        delta_m = float(np.linalg.norm(shrunk.M - state.M))
+        state.M, state.V = shrunk.M, shrunk.V
         feas = float(np.linalg.norm(residual))
         rel_e = feas / norm_x
         state = update_multiplier_and_rho(state, residual, config)
@@ -234,8 +253,10 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
         trace.feas.append(feas)
         trace.rho.append(rho_k)
         trace.wall_time.append(elapsed)
-        trace.norm_m.append(float(np.linalg.norm(state.M)))
+        trace.norm_m.append(shrunk.norm())
         trace.norm_lambda.append(float(np.linalg.norm(state.Lambda)))
+        trace.kept_rank.append(shrunk.rank)
+        trace.dense_svd.append(shrunk.dense)
 
         if rel_e <= config.xi:
             break

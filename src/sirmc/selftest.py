@@ -24,7 +24,7 @@ from .penalties import (
     prox_eval,
     soft_threshold,
 )
-from .spectral import shrink_singular_values
+from .spectral import SvdTriplet, shrink_singular_values
 
 
 def default_penalties() -> list[Penalty]:
@@ -152,6 +152,51 @@ def suite_spectral(prox: Callable, seed: int = 0) -> SuiteResult:
     return _result("spectral_shrinkage", ok, "; ".join(details))
 
 
+def planted(rng, values, m: int = 200, n: int = 120):
+    """m x n matrix with the given leading singular values (zeros after) and
+    random singular vectors; returns it with its right singular vectors."""
+    s = np.zeros(n)
+    s[:len(values)] = values
+    U, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * s) @ V.T, V
+
+
+# Planted spectra at threshold 1 and the warm-start width each starts from.
+TRUNCATION_CASES = {
+    "separated": (list(np.linspace(8.0, 1.5, 12)) + [0.1] * 50, 4),
+    "block_doubles": (list(np.linspace(5.0, 2.0, 15)) + list(np.linspace(0.1, 0.01, 80)), 2),
+    "cluster_above": ([1.001] * 40 + list(np.linspace(0.9, 0.1, 60)), 10),
+    "at_threshold": ([4.0, 3.0, 2.5, 1.0, 1.0, 1.0] + [0.5] * 30, 3),
+    "rank_deficient": ([6.0, 5.0, 4.0, 3.0, 2.0], 0),
+}
+
+
+def suite_truncated_shrink(prox: Callable, seed: int = 0) -> SuiteResult:
+    """The warm-started shrink, which truncates the SVD when it certifies,
+    against the dense one on planted 200x120 spectra: the same number of
+    kept values and outputs within 1e-10 * sigma_1."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    ok = True
+    worst = 0.0
+    truncated = total = 0
+    details = []
+    for name, (values, width) in TRUNCATION_CASES.items():
+        D, V = planted(rng, values)
+        s = SvdTriplet.of(D).S
+        for p in default_penalties():
+            out = shrink_singular_values(D, p, start=V[:, :width])
+            err = float(np.max(np.abs(out.M - shrink_singular_values(D, p)))) / s[0]
+            worst = max(worst, err)
+            truncated += not out.dense
+            total += 1
+            if out.rank != np.count_nonzero(np.asarray(prox(p, s))) or err > 1e-10:
+                ok = False
+                details.append(f"{name}/{p.kind}: kept {out.rank}, error {err:.2g}")
+    details.append(f"{truncated} of {total} truncated, worst error {worst:.2g} * sigma_1")
+    return _result("truncated_shrink", ok, "; ".join(details))
+
+
 def run_selftest(prox: Optional[Callable] = None) -> list[SuiteResult]:
     """Run every suite; returns one result per suite."""
     prox = prox_eval if prox is None else prox
@@ -163,4 +208,5 @@ def run_selftest(prox: Optional[Callable] = None) -> list[SuiteResult]:
         suite_loss_smoothness(prox),
         suite_moreau_oracle(prox),
         suite_spectral(prox),
+        suite_truncated_shrink(prox),
     ]

@@ -35,8 +35,14 @@ class TestComplete:
         M = load_observed(str(out)).values
         assert np.linalg.norm(M - X) / np.linalg.norm(X) <= 1e-6
         trace_lines = (tmp_path / "out.csv.trace.csv").read_text().splitlines()
-        assert trace_lines[0] == "k,rel_E,delta_M,feas,rho,wall_time_s"
+        assert trace_lines[0] == "k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd"
         assert len(trace_lines) > 1
+        rows = np.loadtxt(tmp_path / "out.csv.trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[-1, 6] == 8  # the full-rank data keeps every value at the end
+        # 10x8 is too small to truncate: the shrink runs the dense SVD except
+        # while ||D||_F <= 1/rho proves that nothing survives.
+        assert set(rows[:, 7]) <= {0.0, 1.0} and rows[-1, 7] == 1.0
+        assert np.all(rows[rows[:, 7] == 0.0, 6] == 0.0)
 
     def test_demo_fixture_recovers_ground_truth(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -158,7 +164,7 @@ class TestSelftest:
         assert {s["name"] for s in report["suites"]} >= {
             "prox_oddness", "prox_thresholding", "prox_monotone",
             "bias_dominance", "loss_smoothness", "moreau_oracle",
-            "spectral_shrinkage"}
+            "spectral_shrinkage", "truncated_shrink"}
 
     @pytest.mark.slow
     def test_corrupted_prox_fails(self):

@@ -23,7 +23,7 @@ from sirmc import (
     solve,
     SyntheticSpec,
 )
-from sirmc import bench, completion
+from sirmc import bench, completion, spectral
 from sirmc.completion import update_e, update_m, update_multiplier_and_rho
 from sirmc.errors import (
     BiasConstraintViolated,
@@ -101,7 +101,7 @@ class TestUpdateM:
         X = _full(rng.standard_normal((6, 5)) * 50.0)
         cfg = SolverConfig(penalty_kind="how", rho0=1.0)
         state = SolverState.initial(X, cfg)
-        out = update_m(state, X, cfg)
+        out = update_m(state, X, cfg).M
         assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty_at(1.0)),
                            atol=1e-12)
 
@@ -109,13 +109,13 @@ class TestUpdateM:
         X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
         cfg = SolverConfig(penalty_kind="how")
         state = SolverState.initial(X, cfg)
-        assert np.array_equal(update_m(state, X, cfg), np.zeros((2, 2)))
+        assert np.array_equal(update_m(state, X, cfg).M, np.zeros((2, 2)))
 
     def test_two_by_two_diagonal_case(self):
         X = _full(np.array([[3.0, 0.0], [0.0, 0.5]]))
         cfg = SolverConfig(penalty_kind="how", rho0=1.0)
         state = SolverState.initial(X, cfg)
-        out = update_m(state, X, cfg)
+        out = update_m(state, X, cfg).M
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
 
     def test_optimality_against_regularizer_oracle(self):
@@ -131,7 +131,7 @@ class TestUpdateM:
         state.Lambda = np.where(mask, rng.standard_normal((3, 3)) * 0.1, 0.0)
         E = np.where(mask, 0.0, -state.M)  # the implicit complement fill
         D = X.values - E + state.Lambda / state.rho
-        M_star = update_m(state, X, cfg)
+        M_star = update_m(state, X, cfg).M
         penalty = cfg.penalty_at(state.rho)
         grid_tol = penalty.lam / 200
 
@@ -229,7 +229,7 @@ class TestSolve:
         state = SolverState.initial(X_obs, cfg)
         off = ~X_obs.mask
         for _ in range(10):
-            M_new = update_m(state, X_obs, cfg)
+            M_new = update_m(state, X_obs, cfg).M
             residual = update_e(M_new, X_obs)
             E = X_obs.values - M_new - residual
             assert np.array_equal(E[X_obs.mask], np.zeros(X_obs.n_observed))
@@ -414,3 +414,62 @@ def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
         assert counts[f"completion.{step}"] == trace.iters
     assert counts["spectral.svd"] == trace.iters
     assert tracing.solve_parts_fault(tracer.spans) is None
+
+
+def _protocol_instance(f_r=0.05, f_m=0.3):
+    return gen_synthetic(SyntheticSpec(m=300, n=200, f_r=f_r, f_m=f_m, seed=1))
+
+
+@pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
+def test_truncated_shrink_matches_dense_svd_every_iteration(method, monkeypatch):
+    # Spy on every shrink of a protocol solve: the values kept above 1/rho
+    # must be exactly those of the dense SVD of the same D (the oracle's).
+    _, X_obs = _protocol_instance()
+    of = spectral.SvdTriplet.__dict__["of"].__func__
+    truncated = []
+
+    def spy(cls, D, above=None, start=None):
+        svd = of(cls, D, above, start)
+        s = of(cls, D).S
+        kept = svd.S[svd.S > above]
+        assert kept.size == np.count_nonzero(s > above)
+        assert np.max(np.abs(kept - s[:kept.size]), initial=0.0) <= 1e-10 * s[0]
+        truncated.append(not svd.dense)
+        return svd
+
+    monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
+    _, trace = solve(X_obs, bench.config_for_method(method))
+    assert len(truncated) == trace.iters
+    assert sum(truncated) >= 0.9 * trace.iters  # the spy saw the fast path
+    assert trace.dense_svd == [not t for t in truncated]
+
+
+@pytest.mark.parametrize("cell, methods", [
+    ((0.05, 0.3), ("nnm", "how", "hoc", "hog")),
+    pytest.param((0.2, 0.5), ("how", "hoc", "hog"), marks=pytest.mark.slow),
+])
+def test_truncated_solve_matches_dense_solve(cell, methods, monkeypatch):
+    # The same iteration counts as with the dense SVD in every shrink, and
+    # the relative RMSE to 3 significant digits.
+    truth, X_obs = _protocol_instance(*cell)
+    fast = {m: solve(X_obs, bench.config_for_method(m)) for m in methods}
+    monkeypatch.setattr(spectral, "_truncated_svd", lambda D, lam, start: None)
+    for m in methods:
+        M_dense, trace_dense = solve(X_obs, bench.config_for_method(m))
+        M_fast, trace_fast = fast[m]
+        assert not all(trace_fast.dense_svd) and all(trace_dense.dense_svd)
+        assert trace_fast.iters == trace_dense.iters
+        rel_fast, rel_dense = (np.linalg.norm(M - truth) / np.linalg.norm(truth)
+                               for M in (M_fast, M_dense))
+        assert abs(rel_fast - rel_dense) <= 1e-3 * rel_dense
+
+
+def test_trace_norm_m_is_read_from_the_shrunk_values():
+    _, X_obs = _protocol_instance()
+    M, trace = solve(X_obs, bench.config_for_method("how", max_iters=60, xi=1e-30))
+    assert not trace.dense_svd[-1]
+    assert abs(trace.norm_m[-1] - np.linalg.norm(M)) <= 1e-12 * np.linalg.norm(M)
+    _, small = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
+    M, trace = solve(small, bench.config_for_method("how", max_iters=60, xi=1e-30))
+    assert trace.dense_svd[-1]
+    assert abs(trace.norm_m[-1] - np.linalg.norm(M)) <= 1e-12 * np.linalg.norm(M)

@@ -7,6 +7,7 @@ import pytest
 
 from sirmc import SvdTriplet, how, prox_eval, shrink_singular_values, soft_threshold
 from sirmc.errors import NonFiniteInput, SvdFailure
+from sirmc.selftest import TRUNCATION_CASES, planted
 
 
 def _rand_orthogonal(rng, n):
@@ -114,3 +115,63 @@ def test_svd_backend_failure_wrapped(monkeypatch):
 def test_non_2d_rejected():
     with pytest.raises(ValueError):
         shrink_singular_values(np.ones(5), how(1.0))
+
+
+# Warm-started shrinkage: the truncated SVD against the dense oracle.
+
+def _matches_dense(D, penalty, start):
+    """The warm-started shrink keeps exactly the values the dense SVD keeps
+    and agrees with the dense shrink within 1e-10 * sigma_1."""
+    out = shrink_singular_values(D, penalty, start=start)
+    s = SvdTriplet.of(D).S  # the dense shrink's own spectrum, rounding included
+    assert out.rank == np.count_nonzero(prox_eval(penalty, s))
+    assert np.max(np.abs(out.M - shrink_singular_values(D, penalty))) <= 1e-10 * s[0]
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
+def test_truncated_matches_dense_on_planted_spectra(rng, penalty, case):
+    # Cases: 40 values at 1.001 lam seen from a 10-column warm start, a
+    # block that must double, values exactly at lam, a rank-deficient input.
+    values, width = TRUNCATION_CASES[case]
+    D, V = planted(rng, values)
+    out = _matches_dense(D, penalty, V[:, :width])
+    if case in ("separated", "block_doubles", "rank_deficient"):
+        assert not out.dense  # the fast path ran
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.9])
+def test_truncated_frobenius_shortcut_is_bitwise_dense(rng, penalty, scale):
+    D = rng.standard_normal((200, 120))
+    D *= scale / np.linalg.norm(D)  # ||D||_F <= lam = 1: nothing survives
+    out = shrink_singular_values(D, penalty, start=np.zeros((120, 0)))
+    assert out.rank == 0 and not out.dense
+    assert out.M.tobytes() == shrink_singular_values(D, penalty).tobytes()
+
+
+def test_truncated_nonfinite_rejected(rng):
+    D, V = planted(rng, [3.0, 2.0])
+    D[5, 7] = np.inf
+    with pytest.raises(NonFiniteInput):
+        shrink_singular_values(D, how(1.0), start=V[:, :2])
+
+
+def test_truncated_is_deterministic(rng):
+    D, V = planted(rng, TRUNCATION_CASES["separated"][0])  # 12 values above lam
+    first = shrink_singular_values(D, how(1.0), start=V[:, :4])
+    np.random.seed(7)
+    np.random.standard_normal(1000)  # the fill must not come from global state
+    again = shrink_singular_values(D, how(1.0), start=V[:, :4])
+    assert not first.dense
+    for a, b in ((first.M, again.M), (first.S, again.S), (first.V, again.V)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_truncated_triplet_invariants(rng):
+    D, V = planted(rng, TRUNCATION_CASES["separated"][0])  # 12 values above lam
+    t = SvdTriplet.of(D, above=1.0, start=V[:, :12])
+    assert not t.dense and t.S.size == 12
+    assert np.all(np.diff(t.S) <= 0.0) and np.all(t.S > 1.0)
+    assert np.max(np.abs(t.U.T @ t.U - np.eye(12))) <= 1e-12
+    assert np.max(np.abs(t.V.T @ t.V - np.eye(12))) <= 1e-12
+    assert np.max(np.abs(D @ t.V - t.U * t.S)) <= 1e-10 * t.S[0]
