@@ -1,5 +1,6 @@
 """Synthetic benchmark harness: data generation, RMSE scoring, phase-transition
-sweeps over (rank fraction, missing fraction), and runtime-versus-rank tables.
+sweeps over (rank fraction, missing fraction), and runtime-versus-rank tables,
+which are sweeps over rank / n at one missing fraction.
 
 Every number produced here is a pure function of (spec, config, seed).
 Randomness comes from Philox streams split with SeedSequence spawn keys
@@ -21,6 +22,8 @@ from .errors import InvalidSpec, ShapeMismatch, SirmcError
 from .penalties import SOFT
 
 SUCCESS_RMSE = 1e-3
+# A grid cell counts toward a method's success region at this success rate.
+SUCCESS_CELL_RATE = 0.5
 
 METHODS = ("nnm", "how", "hoc", "hog")
 
@@ -111,12 +114,17 @@ def rmse(X_full: np.ndarray, M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """One (instance, method) outcome. Failed solves carry rmse = inf."""
+    """One (instance, method) outcome; wall_time covers the solve only.
+
+    A solve that raised carries rmse = inf, iters = 0 and, in failure, the
+    exception's type and message.
+    """
 
     method: str
     rmse: float
     iters: int
     wall_time: float
+    failure: str | None = None
 
     @property
     def success(self) -> bool:
@@ -129,29 +137,18 @@ def _trial_seed(base_seed: int, *spawn_key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _dispatch(run_task, tasks, threads: int) -> dict:
-    """{task: run_task(task)}, over a thread pool when threads > 1.
-
-    Every task draws its own seeded instance, so the results do not depend
-    on the order the pool runs them in.
-    """
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return dict(zip(tasks, pool.map(run_task, tasks)))
-    return {task: run_task(task) for task in tasks}
-
-
 def _run_methods(X_full, X_obs, methods, configs) -> list[TrialReport]:
     reports = []
     for method in methods:
         t0 = time.perf_counter()
         try:
             M, trace = solve(X_obs, configs[method])
-            reports.append(TrialReport(method, rmse(X_full, M), trace.iters,
-                                       time.perf_counter() - t0))
-        except (SirmcError, np.linalg.LinAlgError):
-            reports.append(TrialReport(method, float("inf"), 0,
-                                       time.perf_counter() - t0))
+        except (SirmcError, np.linalg.LinAlgError) as exc:
+            reports.append(TrialReport(method, float("inf"), 0, time.perf_counter() - t0,
+                                       f"{type(exc).__name__}: {exc}"))
+            continue
+        wall_time = time.perf_counter() - t0
+        reports.append(TrialReport(method, rmse(X_full, M), trace.iters, wall_time))
     return reports
 
 
@@ -171,10 +168,11 @@ class SweepGrid:
     mean_log10_rmse: np.ndarray
     reports: dict = field(default_factory=dict)  # (i_fr, i_fm, trial) -> [TrialReport]
 
-    def success_cells(self, method: str, threshold: float = 0.5) -> int:
-        """Number of grid cells where the method's success rate meets threshold."""
+    def success_cells(self, method: str) -> int:
+        """Number of grid cells where the method's success rate is at least
+        SUCCESS_CELL_RATE."""
         k = self.methods.index(method)
-        return int(np.sum(self.success_rate[:, :, k] >= threshold))
+        return int(np.sum(self.success_rate[:, :, k] >= SUCCESS_CELL_RATE))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -197,10 +195,10 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     to remove instance-to-instance variance from the comparison. Seeds derive
     from (cell row, cell column, trial), so parallel execution order cannot
     change any number. Per-trial solver errors are recorded as failures, not
-    raised.
+    raised. threads > 1 runs the trials on a thread pool.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InvalidSpec(f"trials must be >= 1, got {trials}")
     f_r_values = tuple(f_r_values)
     f_m_values = tuple(f_m_values)
     methods = tuple(methods)
@@ -221,7 +219,11 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         X_full, X_obs = gen_synthetic(spec)
         return _run_methods(X_full, X_obs, methods, configs)
 
-    results = _dispatch(run_task, tasks, threads)
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = dict(zip(tasks, pool.map(run_task, tasks)))
+    else:
+        results = {task: run_task(task) for task in tasks}
 
     shape = (len(f_r_values), len(f_m_values), len(methods))
     success_rate = np.zeros(shape)
@@ -262,40 +264,22 @@ class RuntimeTable:
 def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int = 200,
                   seed: int = 0, configs: dict | None = None,
                   threads: int = 1) -> RuntimeTable:
-    """Time solves over ranks; timing covers solve only, never data generation.
+    """Time solves over ranks: a phase_sweep over f_r = rank / n at the one
+    missing fraction f_m, so trials are drawn, seeded, solved and their
+    failures recorded as in a sweep. Timing covers solve only; a failed solve
+    counts the time until it raised and 0 iterations.
 
     Sequential by default so timings are not skewed by contention; threads > 1
     parallelizes (rank, trial) tasks, which leaves iteration counts unchanged
     but can inflate wall times.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     ranks = tuple(int(r) for r in ranks)
-    methods = tuple(methods)
-    if configs is None:
-        configs = {method: config_for_method(method) for method in methods}
-
-    def run_task(key):
-        i, t = key
-        spec = SyntheticSpec(m=m, n=n, f_r=ranks[i] / n, f_m=f_m,
-                             seed=_trial_seed(seed, i, t))
-        _, X_obs = gen_synthetic(spec)
-        out = []
-        for method in methods:
-            t0 = time.perf_counter()
-            _, trace = solve(X_obs, configs[method])
-            out.append((time.perf_counter() - t0, trace.iters))
-        return out
-
-    tasks = [(i, t) for i in range(len(ranks)) for t in range(trials)]
-    results = _dispatch(run_task, tasks, threads)
-
-    mean_seconds = np.zeros((len(ranks), len(methods)))
-    iters = np.zeros((len(ranks), len(methods), trials), dtype=int)
-    for (i, t), rows in results.items():
-        for k, (secs, its) in enumerate(rows):
-            mean_seconds[i, k] += secs
-            iters[i, k, t] = its
-    mean_seconds /= trials
-    return RuntimeTable(ranks, methods, trials, mean_seconds,
+    grid = phase_sweep(tuple(r / n for r in ranks), (f_m,), methods, trials, m=m, n=n,
+                       seed=seed, configs=configs, threads=threads)
+    shape = (len(ranks), len(grid.methods), trials)
+    reports = [grid.reports[(i, 0, t)][k] for i in range(shape[0])
+               for k in range(shape[1]) for t in range(trials)]
+    seconds = np.array([r.wall_time for r in reports], dtype=float).reshape(shape)
+    iters = np.array([r.iters for r in reports], dtype=int).reshape(shape)
+    return RuntimeTable(ranks, grid.methods, trials, seconds.mean(axis=2),
                         iters.mean(axis=2), iters)

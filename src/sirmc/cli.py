@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: complete (fill a matrix from files), sweep (phase-transition
-grid), bench (runtime versus rank), prox-curve (tabulate loss/prox/
-regularizer curves), selftest (oracle and invariant suites).
+grid), bench (runtime versus rank, a sweep over rank / n), prox-curve
+(tabulate loss/prox/regularizer curves), selftest (oracle and invariant
+suites).
 
 Exit codes: 0 success/converged, 1 error (including usage), 2 iteration cap
 hit, 3 selftest failure. Human-readable output goes to stderr; data goes to
@@ -13,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITERS = 2
 EXIT_SELFTEST = 3
-
-THREADS_ENV = "SIRMC_THREADS"
 
 PRESETS = {
     "paper-grid": (bench.PAPER_GRID, bench.PAPER_GRID),
@@ -49,21 +47,17 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-@contextmanager
 def _single_threaded_blas(enabled: bool):
     if not enabled:
-        yield
-        return
+        return nullcontext()
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         _log("warning: --deterministic: threadpoolctl is not installed, so BLAS threads "
              "were not limited; set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) "
              "before starting sirmc to run BLAS single-threaded")
-        yield
-        return
-    with threadpool_limits(limits=1):
-        yield
+        return nullcontext()
+    return threadpool_limits(limits=1)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -81,29 +75,26 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration cap (default: %(default)s)")
 
 
+def _add_grid_flags(p: argparse.ArgumentParser, trials: int) -> None:
+    p.add_argument("--methods", default=",".join(bench.METHODS))
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--m", type=int, default=300)
+    p.add_argument("--n", type=int, default=200)
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"trial-level parallelism (default: ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="trial-level parallelism (default: %(default)s)")
     p.add_argument("--deterministic", action="store_true",
                    help="sequential trials and single-threaded numerics")
     p.add_argument("--out", required=True, help="output file path")
 
 
 def _resolve_threads(args) -> int:
-    if args.deterministic:
-        return 1
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"bad {THREADS_ENV} value {env!r}") from None
-    return 1
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
+    return 1 if args.deterministic else args.threads
 
 
 def _solver_config(args, method: str) -> SolverConfig:
@@ -116,8 +107,6 @@ def _parse_fractions(text: str, flag: str):
         vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
-    if not vals:
-        raise UsageError(f"{flag}: empty list")
     return vals
 
 
@@ -130,12 +119,18 @@ def _method_configs(args) -> dict:
     return {m: _solver_config(args, m) for m in methods}
 
 
+def _log_failures(methods, failed) -> None:
+    """One line per method with failed solves; failed[k] counts method k's."""
+    for method, count in zip(methods, failed):
+        if count:
+            _log(f"{method}: {count} solves failed")
+
+
 def cmd_complete(args) -> int:
     X = matio.load_observed(args.matrix, args.mask)
     config = _solver_config(args, args.method)
     t0 = time.perf_counter()
-    with _single_threaded_blas(args.deterministic):
-        M, trace = solve(X, config)
+    M, trace = solve(X, config)
     elapsed = time.perf_counter() - t0
     matio.save_matrix(M, args.out)
     trace.to_csv(args.out + ".trace.csv")
@@ -148,8 +143,6 @@ def cmd_complete(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     if args.preset is not None:
         fr_values, fm_values = PRESETS[args.preset]
     else:
@@ -158,38 +151,33 @@ def cmd_sweep(args) -> int:
         fr_values = _parse_fractions(args.fr_values, "--fr-values")
         fm_values = _parse_fractions(args.fm_values, "--fm-values")
     configs = _method_configs(args)
-    threads = _resolve_threads(args)
-    with _single_threaded_blas(args.deterministic):
-        grid = bench.phase_sweep(fr_values, fm_values, tuple(configs), args.trials,
-                                 m=args.m, n=args.n, seed=args.seed,
-                                 configs=configs, threads=threads)
+    grid = bench.phase_sweep(fr_values, fm_values, tuple(configs), args.trials,
+                             m=args.m, n=args.n, seed=args.seed,
+                             configs=configs, threads=_resolve_threads(args))
     grid.to_csv(args.out)
     _log(f"swept {len(fr_values)}x{len(fm_values)} cells x {len(configs)} methods "
          f"x {args.trials} trials; wrote {args.out}")
     for method in grid.methods:
-        _log(f"{method}: {grid.success_cells(method)} cells with success rate >= 0.5")
+        _log(f"{method}: {grid.success_cells(method)} cells with success rate "
+             f">= {bench.SUCCESS_CELL_RATE}")
+    _log_failures(grid.methods, [sum(rs[k].failure is not None for rs in grid.reports.values())
+                                 for k in range(len(grid.methods))])
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     try:
         ranks = tuple(int(r) for r in args.ranks.split(",")) if args.ranks else ()
     except ValueError:
         raise UsageError(f"--ranks: expected comma-separated integers, got {args.ranks!r}") from None
     configs = _method_configs(args)
-    if ranks:
-        with _single_threaded_blas(args.deterministic):
-            table = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
-                                        m=args.m, n=args.n, seed=args.seed,
-                                        configs=configs,
-                                        threads=_resolve_threads(args))
-        table.to_csv(args.out)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write("rank,method,mean_seconds,trials\n")
+    table = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
+                                m=args.m, n=args.n, seed=args.seed,
+                                configs=configs, threads=_resolve_threads(args))
+    table.to_csv(args.out)
     _log(f"benchmarked ranks {list(ranks)}; wrote {args.out}")
+    # A solve that raised is recorded with 0 iterations.
+    _log_failures(table.methods, (table.iters == 0).sum(axis=(0, 2)))
     return EXIT_OK
 
 
@@ -254,10 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--fr-values", default=None, help="comma-separated rank fractions")
     p.add_argument("--fm-values", default=None, help="comma-separated missing fractions")
-    p.add_argument("--methods", default=",".join(bench.METHODS))
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--m", type=int, default=300)
-    p.add_argument("--n", type=int, default=200)
+    _add_grid_flags(p, trials=10)
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -265,10 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="runtime versus matrix rank")
     p.add_argument("--ranks", default="", help="comma-separated ranks")
     p.add_argument("--fm", type=float, default=0.1, help="missing fraction")
-    p.add_argument("--methods", default=",".join(bench.METHODS))
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--m", type=int, default=300)
-    p.add_argument("--n", type=int, default=200)
+    _add_grid_flags(p, trials=3)
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_bench)
@@ -296,7 +278,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _single_threaded_blas(getattr(args, "deterministic", False)):
+            return args.func(args)
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return EXIT_ERROR

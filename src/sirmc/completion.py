@@ -169,9 +169,6 @@ class IterTrace:
     def iters(self) -> int:
         return len(self.rel_e)
 
-    def total_time(self) -> float:
-        return float(sum(self.wall_time))
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd\n")
@@ -306,18 +303,20 @@ class ConvergenceReport:
     flags: tuple
 
 
-def convergence_diagnostics(trace: IterTrace, window: int = 10,
-                            delta_m_rel_tol: float = 1e-6) -> ConvergenceReport:
-    """Judge a trace: estimate increments below delta_m_rel_tol * ||X||_F
-    over the last `window` iterations, feasibility trending down, and no
+DIAGNOSTIC_WINDOW = 10   # trailing iterations that convergence_diagnostics judges
+DELTA_M_REL_TOL = 1e-6   # settled: increments at most this times ||X||_F
+
+
+def convergence_diagnostics(trace: IterTrace) -> ConvergenceReport:
+    """Judge a trace: estimate increments settled over the last
+    DIAGNOSTIC_WINDOW iterations, feasibility trending down, and no
     iteration-cap flag. Any violation is reported as a flag.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    w = min(window, len(trace))
-    last_delta = trace.delta_m[-w:]
-    last_feas = trace.feas[-w:]
-    delta_m_settled = max(last_delta) <= delta_m_rel_tol * trace.norm_x
+    last_delta = trace.delta_m[-DIAGNOSTIC_WINDOW:]
+    last_feas = trace.feas[-DIAGNOSTIC_WINDOW:]
+    delta_m_settled = max(last_delta) <= DELTA_M_REL_TOL * trace.norm_x
     feas_decreasing = last_feas[-1] == 0.0 or last_feas[-1] < last_feas[0]
     flags = []
     if trace.max_iters_reached:

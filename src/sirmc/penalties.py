@@ -137,8 +137,6 @@ def make_penalty(kind: str, lam: float, shape: float | None = None,
     if kind == SOFT:
         return soft_threshold(lam)
     if kind == GENERIC:
-        if generator is None:
-            raise ValueError("generic penalty needs a generator")
         return generic(lam, generator)
     if kind in STRICT_SHAPE_RATIO:
         shape = STRICT_SHAPE_RATIO[kind] * lam if shape is None else shape

@@ -1,13 +1,21 @@
 """Synthetic data generation, RMSE scoring, sweeps and the runtime table."""
 
+import pathlib
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import sirmc.bench as bench
-from sirmc import SyntheticSpec, TrialReport, gen_synthetic, phase_sweep, rmse, runtime_bench
+from sirmc import (IterTrace, SyntheticSpec, TrialReport, gen_synthetic, phase_sweep, rmse,
+                   runtime_bench)
+from sirmc.cli import main
 from sirmc.errors import InvalidSpec, ShapeMismatch
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
 FAST = dict(mu=1.3, max_iters=120, xi=1e-7)
+FAST_SOLVER = ["--mu", "1.3", "--max-iters", "120"]
 
 
 class TestSyntheticSpec:
@@ -97,13 +105,57 @@ class TestPhaseSweep:
         assert np.array_equal(a.success_rate, b.success_rate)
         assert np.array_equal(a.mean_log10_rmse, b.mean_log10_rmse)
 
-    def test_solver_error_recorded_as_failure(self, monkeypatch):
-        def boom(X, config):
-            raise np.linalg.LinAlgError("forced")
+    def test_solver_error_recorded_as_failure(self, monkeypatch, tmp_path, capsys):
+        real_solve = bench.solve
 
-        monkeypatch.setattr(bench, "solve", boom)
-        grid = phase_sweep((0.1,), (0.2,), ("how",), trials=2, m=10, n=8, seed=0)
+        def how_fails(X, config):
+            if config.penalty_kind == "how":
+                raise np.linalg.LinAlgError("forced")
+            return real_solve(X, config)
+
+        monkeypatch.setattr(bench, "solve", how_fails)
+        configs = {m: bench.config_for_method(m, **FAST) for m in ("how", "nnm")}
+        grid = phase_sweep((0.1,), (0.2,), ("how", "nnm"), trials=2, m=10, n=8, seed=0,
+                           configs=configs)
         assert grid.success_rate[0, 0, 0] == 0.0
+        for t in range(2):
+            failed, solved = grid.reports[(0, 0, t)]
+            assert (failed.rmse, failed.iters) == (float("inf"), 0)
+            assert failed.failure == "LinAlgError: forced"
+            assert solved.iters > 0 and solved.failure is None
+        # One failed solve no longer aborts a runtime table.
+        table = runtime_bench((2,), ("how", "nnm"), trials=2, m=10, n=8, seed=0,
+                              configs=configs)
+        assert table.iters[0, 0].tolist() == [0, 0]
+        assert np.all(table.iters[0, 1] > 0)
+        capsys.readouterr()
+        for command in (["sweep", "--fr-values", "0.2", "--fm-values", "0.2"],
+                        ["bench", "--ranks", "2"]):
+            code = main([*command, "--trials", "2", "--methods", "how,nnm", "--m", "10",
+                         "--n", "8", *FAST_SOLVER, "--out", str(tmp_path / "out.csv")])
+            assert code == 0
+            err = capsys.readouterr().err.splitlines()
+            assert "how: 2 solves failed" in err
+            assert not any(line.startswith("nnm:") and "failed" in line for line in err)
+
+    def test_wall_time_covers_solve_only(self, monkeypatch):
+        def instant_solve(X, config):
+            return np.zeros(X.values.shape), IterTrace(rel_e=[0.0])
+
+        def slow_rmse(X_full, M):
+            time.sleep(0.2)
+            return 0.0
+
+        monkeypatch.setattr(bench, "solve", instant_solve)
+        monkeypatch.setattr(bench, "rmse", slow_rmse)
+        grid = phase_sweep((0.1,), (0.2,), ("how",), trials=1, m=10, n=8, seed=0)
+        assert grid.reports[(0, 0, 0)][0].wall_time < 0.1
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(InvalidSpec):
+            phase_sweep((0.1,), (0.2,), ("how",), trials=0, m=10, n=8, seed=0)
+        with pytest.raises(InvalidSpec):
+            runtime_bench((2,), ("how",), trials=0, m=10, n=8, seed=0)
 
     def test_csv_schema(self, tmp_path):
         grid = phase_sweep((0.1,), (0.2,), ("how", "nnm"), trials=1, m=20, n=15,
@@ -135,6 +187,31 @@ class TestRuntimeBench:
         lines = out.read_text().splitlines()
         assert lines[0] == "rank,method,mean_seconds,trials"
         assert len(lines) == 1 + 2
+
+
+def test_benchmark_tracer_sees_each_sweep_task(monkeypatch):
+    # The benchmark's tracer patches bench.gen_synthetic, bench.solve and
+    # bench.rmse, which the sweep looks up at call time; sweeps and runtime
+    # tables must draw and solve every task through them, pool or not.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import tracing
+
+    methods = ("how", "nnm")
+    configs = {m: bench.config_for_method(m, **FAST) for m in methods}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        phase_sweep((0.1, 0.2), (0.2,), methods, trials=2, m=20, n=15, seed=4,
+                    configs=configs, threads=2)
+        runtime_bench((2, 3), methods, trials=1, m=20, n=15, seed=4, configs=configs)
+    finally:
+        tracer.uninstall()
+    counts = Counter(span[2] for span in tracer.spans)
+    tasks = 2 * 2 + 2 * 1
+    assert counts["bench.gen_synthetic"] == tasks
+    assert counts["completion.solve"] == tasks * len(methods)
+    assert counts["bench.rmse"] == tasks * len(methods)
+    assert tracing.solve_parts_fault(tracer.spans) is None
 
 
 def test_config_for_method_maps_nnm_to_soft():

@@ -180,19 +180,6 @@ class TestParsing:
         assert args.xi == 1e-7
         assert args.max_iters == 1000
 
-    def test_env_var_thread_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIRMC_THREADS", "2")
-        out = tmp_path / "g.csv"
-        code = main(["sweep", "--fr-values", "0.1", "--fm-values", "0.2",
-                     "--trials", "2", "--methods", "how", "--m", "20", "--n", "15",
-                     *FAST_SOLVER, "--out", str(out)])
-        assert code == 0
-        monkeypatch.setenv("SIRMC_THREADS", "junk")
-        code = main(["sweep", "--fr-values", "0.1", "--fm-values", "0.2",
-                     "--trials", "1", "--methods", "how", "--m", "20", "--n", "15",
-                     *FAST_SOLVER, "--out", str(out)])
-        assert code == 1
-
     def test_deterministic_warns_when_blas_threads_not_limited(self, tmp_path, monkeypatch,
                                                                  capsys):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
