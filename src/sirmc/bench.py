@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .completion import ObservedMatrix, SolverConfig, solve
 from .errors import InvalidSpec, ShapeMismatch, SirmcError
 from .penalties import SOFT
@@ -187,6 +189,12 @@ class SweepGrid:
                         )
 
 
+def pool_blas_limit(threads: int):
+    """BLAS limit of a pool of `threads` trial threads: the CPUs shared out
+    among them, so that the two counts do not multiply past the cores."""
+    return blas.limit(max(1, blas.cpus() // threads)) if threads > 1 else nullcontext()
+
+
 def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 200,
                 seed: int = 0, configs: dict | None = None, threads: int = 1) -> SweepGrid:
     """Run trials for every (f_r, f_m) cell and method; aggregate success rates.
@@ -195,7 +203,8 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     to remove instance-to-instance variance from the comparison. Seeds derive
     from (cell row, cell column, trial), so parallel execution order cannot
     change any number. Per-trial solver errors are recorded as failures, not
-    raised. threads > 1 runs the trials on a thread pool.
+    raised. threads > 1 runs the trials on a thread pool under pool_blas_limit;
+    its fewer BLAS threads per solve can change an RMSE in its last bits.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -220,7 +229,7 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         return _run_methods(X_full, X_obs, methods, configs)
 
     if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with pool_blas_limit(threads), ThreadPoolExecutor(max_workers=threads) as pool:
             results = dict(zip(tasks, pool.map(run_task, tasks)))
     else:
         results = {task: run_task(task) for task in tasks}
@@ -269,9 +278,9 @@ def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int
     failures recorded as in a sweep. Timing covers solve only; a failed solve
     counts the time until it raised and 0 iterations.
 
-    Sequential by default so timings are not skewed by contention; threads > 1
-    parallelizes (rank, trial) tasks, which leaves iteration counts unchanged
-    but can inflate wall times.
+    Sequential by default, so each solve has every BLAS thread. threads > 1
+    parallelizes (rank, trial) tasks under pool_blas_limit: iteration counts
+    do not change, but each wall time is that of a solve sharing the CPUs.
     """
     ranks = tuple(int(r) for r in ranks)
     grid = phase_sweep(tuple(r / n for r in ranks), (f_m,), methods, trials, m=m, n=n,

@@ -20,7 +20,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import bench, matio, penalties, selftest
+from . import bench, blas, matio, penalties, selftest
 from .completion import SolverConfig, solve
 from .errors import SirmcError, UsageError
 
@@ -47,19 +47,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _single_threaded_blas(enabled: bool):
-    if not enabled:
-        return nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        _log("warning: --deterministic: threadpoolctl is not installed, so BLAS threads "
-             "were not limited; set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) "
-             "before starting sirmc to run BLAS single-threaded")
-        return nullcontext()
-    return threadpool_limits(limits=1)
-
-
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=bench.METHODS, default="how",
                    help="penalty / solver variant (default: how)")
@@ -80,21 +67,27 @@ def _add_grid_flags(p: argparse.ArgumentParser, trials: int) -> None:
     p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--m", type=int, default=300)
     p.add_argument("--n", type=int, default=200)
+    p.add_argument("--threads", type=int, default=1,
+                   help="trial-level parallelism (default: %(default)s)")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="trial-level parallelism (default: %(default)s)")
     p.add_argument("--deterministic", action="store_true",
                    help="sequential trials and single-threaded numerics")
     p.add_argument("--out", required=True, help="output file path")
 
 
 def _resolve_threads(args) -> int:
+    """Trial threads of a grid command; logs them with the BLAS threads per solve."""
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    return 1 if args.deterministic else args.threads
+    threads = 1 if args.deterministic else args.threads
+    with bench.pool_blas_limit(threads):
+        per_solve = blas.threads()
+    per_solve, total = ("unknown",) * 2 if per_solve is None else (per_solve, threads * per_solve)
+    _log(f"threads: {threads} trial x {per_solve} BLAS = {total} on {blas.cpus()} CPUs")
+    return threads
 
 
 def _solver_config(args, method: str) -> SolverConfig:
@@ -278,7 +271,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with _single_threaded_blas(getattr(args, "deterministic", False)):
+        deterministic = getattr(args, "deterministic", False)
+        if deterministic and blas.threads() is None:
+            _log("warning: --deterministic: BLAS thread count unknown (no OpenBLAS found), "
+                 "so BLAS threads were not limited")
+        with blas.limit(1) if deterministic else nullcontext():
             return args.func(args)
     except UsageError as exc:
         _log(f"usage error: {exc}")

