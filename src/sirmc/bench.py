@@ -12,7 +12,6 @@ trial.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -229,6 +228,8 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         return _run_methods(X_full, X_obs, methods, configs)
 
     if threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # ~10 ms; only pools pay it
+
         with pool_blas_limit(threads), ThreadPoolExecutor(max_workers=threads) as pool:
             results = dict(zip(tasks, pool.map(run_task, tasks)))
     else:

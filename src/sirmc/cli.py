@@ -21,7 +21,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import bench, blas, matio, penalties, selftest
-from .completion import SolverConfig, solve
+from .completion import SolverConfig, convergence_diagnostics, solve
 from .errors import SirmcError, UsageError
 
 EXIT_OK = 0
@@ -53,7 +53,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape-ratio", type=float, default=None,
                    help="shape parameter over threshold; default is the kind's strict bound")
     p.add_argument("--rho0", type=float, default=SolverConfig.rho0,
-                   help="initial penalty parameter (default: %(default)s)")
+                   help="initial penalty parameter (default: 1 / the observed data's "
+                        "spectral norm)")
     p.add_argument("--mu", type=float, default=SolverConfig.mu,
                    help="penalty growth factor (default: %(default)s)")
     p.add_argument("--xi", type=float, default=SolverConfig.xi,
@@ -129,6 +130,9 @@ def cmd_complete(args) -> int:
     trace.to_csv(args.out + ".trace.csv")
     _log(f"rel_E = {trace.rel_e[-1]:.3e} after {trace.iters} iterations "
          f"({elapsed:.2f}s); wrote {args.out}")
+    flags = convergence_diagnostics(trace).flags
+    if flags:
+        _log(f"warning: convergence diagnostics: {', '.join(flags)}")
     if trace.max_iters_reached:
         _log("iteration cap reached before the tolerance")
         return EXIT_MAX_ITERS

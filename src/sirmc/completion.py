@@ -34,7 +34,7 @@ from .errors import (
     ZeroNormInput,
 )
 from .penalties import HOC, HOG, HOW, SOFT, Penalty, make_penalty, validate
-from .spectral import Shrinkage, shrink_singular_values
+from .spectral import Shrinkage, norm_estimate, shrink_singular_values
 
 SOLVER_KINDS = (HOW, HOC, HOG, SOFT)
 
@@ -79,13 +79,15 @@ class ObservedMatrix:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs. Defaults follow the completion algorithm's constants
-    (mu = 1.05, xi = 1e-7, 1000 iterations); rho0 is our own default since
-    the schedule start is otherwise unspecified.
+    (mu = 1.05, xi = 1e-7, 1000 iterations). The schedule start is otherwise
+    unspecified; rho0 = None starts it at the data's scale, rho0 = 1/||P_O X||_2
+    as in inexact ALM (Lin, Chen & Ma 2010), with the norm estimated by
+    spectral.norm_estimate when the solve starts. A given rho0 is used as is.
     """
 
     penalty_kind: str = HOW
     shape_ratio: Optional[float] = None  # shape / lam; None = kind's strict bound
-    rho0: float = 1e-2
+    rho0: Optional[float] = None  # None = 1 / ||P_O X||_2, resolved by SolverState.initial
     mu: float = 1.05
     xi: float = 1e-7
     max_iters: int = 1000
@@ -93,7 +95,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.penalty_kind not in SOLVER_KINDS:
             raise ValueError(f"penalty_kind must be one of {SOLVER_KINDS}, got {self.penalty_kind!r}")
-        if not self.rho0 > 0:
+        if self.rho0 is not None and not self.rho0 > 0:
             raise NonPositiveParameter(f"rho0 must be positive, got {self.rho0}")
         if not self.mu > 1:
             raise ValueError(f"mu must exceed 1, got {self.mu}")
@@ -101,9 +103,9 @@ class SolverConfig:
             raise NonPositiveParameter(f"xi must be positive, got {self.xi}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        # The shape ratio is checked on the first iteration's penalty, by the
-        # same rules as any penalty; the ratio is the same at every threshold.
-        validate(self.penalty_at(self.rho0))
+        # The shape ratio is checked by the same rules as any penalty, at
+        # threshold 1; the ratio is the same at every threshold.
+        validate(self.penalty_at(1.0))
 
     def penalty_at(self, rho: float) -> Penalty:
         """Penalty for the current iteration: threshold 1/rho, shape tied to it
@@ -135,7 +137,14 @@ class SolverState:
 
     @classmethod
     def initial(cls, X: ObservedMatrix, config: SolverConfig) -> "SolverState":
-        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.shape), rho=config.rho0, k=0)
+        """M = Lambda = 0 at rho = config.rho0, or 1 / ||P_O X||_2 when that is None."""
+        rho = config.rho0
+        if rho is None:
+            norm = norm_estimate(X.values)
+            if norm == 0.0:
+                raise ZeroNormInput("all observed entries are zero; no scale to start from")
+            rho = 1.0 / norm
+        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.shape), rho=rho, k=0)
 
 
 @dataclass
@@ -161,6 +170,7 @@ class IterTrace:
     dense_svd: list = field(default_factory=list)
     norm_x: float = 0.0
     max_iters_reached: bool = False
+    full_rank: int = 0  # min(m, n), the rank of a shrink that keeps every value
 
     def __len__(self) -> int:
         return len(self.rel_e)
@@ -222,7 +232,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
         raise ZeroNormInput("all observed entries are zero; relative error undefined")
 
     state = SolverState.initial(X, config)
-    trace = IterTrace(norm_x=norm_x)
+    trace = IterTrace(norm_x=norm_x, full_rank=min(X.shape))
 
     while True:
         t0 = time.perf_counter()
@@ -305,12 +315,15 @@ class ConvergenceReport:
 
 DIAGNOSTIC_WINDOW = 10   # trailing iterations that convergence_diagnostics judges
 DELTA_M_REL_TOL = 1e-6   # settled: increments at most this times ||X||_F
+EARLY_ITERS = 2          # converging within this many iterations is suspect
 
 
 def convergence_diagnostics(trace: IterTrace) -> ConvergenceReport:
     """Judge a trace: estimate increments settled over the last
     DIAGNOSTIC_WINDOW iterations, feasibility trending down, and no
-    iteration-cap flag. Any violation is reported as a flag.
+    iteration-cap flag. Any violation is reported as a flag, and so is a
+    solve that kept every singular value or converged within EARLY_ITERS
+    iterations: its answer is likely the zero-filled input, not a completion.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
@@ -325,6 +338,9 @@ def convergence_diagnostics(trace: IterTrace) -> ConvergenceReport:
         flags.append("delta_m_above_threshold")
     if not feas_decreasing:
         flags.append("feas_stalled")
+    if (0 < trace.full_rank <= max(trace.kept_rank, default=0)
+            or (len(trace) <= EARLY_ITERS and not trace.max_iters_reached)):
+        flags.append("zero_filled_input")
     return ConvergenceReport(
         max_norm_m=max(trace.norm_m),
         max_norm_lambda=max(trace.norm_lambda),

@@ -25,12 +25,13 @@ from .penalties import Penalty, prox_eval
 
 # Truncated SVD constants (fixed; not configuration).
 OVERSAMPLE = 10          # block columns beyond the warm rank
-POWER_STEPS = 6          # power steps allowed before going dense
+POWER_STEPS = 12         # power steps allowed before going dense
 BLOCK_DIVISOR = 4        # truncate only while the block is <= min(m, n) / 4
 SETTLE_TOL = 1e-12       # settled: kept Ritz values move <= this times s_1
 DROP_MARGIN = 10         # largest dropped Ritz value: below lam by this times its rise
 RESIDUAL_TOL = 1e-10     # certified: triplet residuals <= this times s_1
-FILL_SEED = 20230417     # Philox key of the start block's fill columns
+FILL_SEED = 20230417     # Philox key of the start block's fill columns and norm_estimate's start
+NORM_POWER_STEPS = 4     # power steps of norm_estimate
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,9 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
     outside the block. A block wider than min(m, n) / BLOCK_DIVISOR, where
     the power steps cost about as much as the dense SVD, goes dense, and so
     does a block whose residuals, shrinking at their last observed rate,
-    would not reach the tolerance within the steps left.
+    would not reach the tolerance within the steps left. The step budget
+    lets a cold or thin start (the first shrinks of a solve) certify: a
+    step of a narrow block costs a small fraction of the dense SVD.
     """
     m, n = D.shape
     if np.linalg.norm(D) <= lam:
@@ -117,7 +120,8 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
                 if np.all(np.linalg.norm(D.T @ U - V * s, axis=0) <= tol):
                     return U, s, V
                 return None
-            if prev_res is not None and res > tol and (
+            # No rate to judge from a step that kept nothing (prev_res 0).
+            if prev_res and res > tol and (
                     res >= prev_res or res * (res / prev_res) ** (POWER_STEPS - step) > tol):
                 return None  # the residuals shrink too slowly to certify in time
             prev, prev_res = s[:kept + 1], res
@@ -125,6 +129,16 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
             return None
         width *= 2
     return None
+
+
+def norm_estimate(A: np.ndarray) -> float:
+    """Estimate of ||A||_2 from NORM_POWER_STEPS power steps on A^T A from a
+    fixed Philox start: a lower bound, homogeneous in A, with no SVD."""
+    v = Generator(Philox(FILL_SEED)).standard_normal(A.shape[1])
+    for _ in range(NORM_POWER_STEPS):
+        v = A.T @ (A @ v)
+        v /= np.linalg.norm(v) or 1.0
+    return float(np.linalg.norm(A @ v))
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,24 @@ class TestComplete:
         assert set(rows[:, 7]) <= {0.0, 1.0} and rows[-1, 7] == 1.0
         assert np.all(rows[rows[:, 7] == 0.0, 6] == 0.0)
 
-    def test_demo_fixture_recovers_ground_truth(self, tmp_path):
+    def test_demo_fixture_recovers_ground_truth(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         code = main(["complete", str(DEMO_OBS), "--method", "how", "--out", str(out)])
         assert code == 0
         M = load_observed(str(out)).values
         X_full = load_observed(str(DEMO_FULL)).values
         assert rmse(X_full, M) < 1e-3
+        assert "zero_filled_input" not in capsys.readouterr().err
+
+    def test_diagnostics_flags_logged_as_one_warning(self, tmp_path, rng, capsys):
+        # Fully observed full-rank data: the answer is the input itself, so
+        # the zero-filled-input flag fires; the exit code stays 0.
+        inp = _write_matrix(tmp_path / "in.csv", rng.standard_normal((10, 8)) * 3.0)
+        code = main(["complete", inp, "--method", "nnm", "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "zero_filled_input" in warnings[0]
 
     def test_mask_file_variant(self, tmp_path, rng):
         X = rng.standard_normal((6, 5))

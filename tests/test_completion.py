@@ -107,7 +107,7 @@ class TestUpdateM:
 
     def test_subthreshold_data_maps_to_zero(self):
         X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
-        cfg = SolverConfig(penalty_kind="how")
+        cfg = SolverConfig(penalty_kind="how", rho0=1e-2)
         state = SolverState.initial(X, cfg)
         assert np.array_equal(update_m(state, X, cfg).M, np.zeros((2, 2)))
 
@@ -243,7 +243,7 @@ class TestSolve:
         _, X_obs = gen_synthetic(spec)
         cfg = SolverConfig(penalty_kind="soft", max_iters=30, xi=1e-30)
         _, trace = solve(X_obs, cfg)
-        expected = cfg.rho0
+        expected = SolverState.initial(X_obs, cfg).rho
         for rho_k in trace.rho:
             assert rho_k == expected
             expected *= cfg.mu
@@ -370,7 +370,7 @@ def _reference_solve(X, config):
     M = np.zeros(X.shape)
     E = np.zeros(X.shape)
     Lam = np.zeros(X.shape)
-    rho = config.rho0
+    rho = SolverState.initial(X, config).rho
     rel_e = []
     while True:
         M = shrink_singular_values(X.values - E + Lam / rho, config.penalty_at(rho))
@@ -473,3 +473,80 @@ def test_trace_norm_m_is_read_from_the_shrunk_values():
     M, trace = solve(small, bench.config_for_method("how", max_iters=60, xi=1e-30))
     assert trace.dense_svd[-1]
     assert abs(trace.norm_m[-1] - np.linalg.norm(M)) <= 1e-12 * np.linalg.norm(M)
+
+
+class TestDefaultRho0:
+    """rho0 = None starts the schedule at 1 / ||P_O X||_2 (inexact ALM's start)."""
+
+    def test_resolved_from_a_lower_bound_on_the_norm(self):
+        _, X_obs = _protocol_instance()
+        s1 = np.linalg.norm(X_obs.values, 2)
+        threshold = 1.0 / SolverState.initial(X_obs, SolverConfig()).rho
+        assert 0.5 * s1 <= threshold <= s1 * (1 + 1e-12)
+
+    def test_explicit_rho0_is_exact(self):
+        _, X_obs = _protocol_instance()
+        assert SolverState.initial(X_obs, SolverConfig(rho0=0.3)).rho == 0.3
+        with pytest.raises(NonPositiveParameter):
+            SolverConfig(rho0=0.0)
+
+    def test_zero_data_has_no_scale(self):
+        X = ObservedMatrix(np.zeros((3, 3)), np.ones((3, 3), dtype=bool))
+        with pytest.raises(ZeroNormInput):
+            SolverState.initial(X, SolverConfig())
+
+    def test_first_shrinks_certify_on_the_protocol_cell(self):
+        # The first threshold sits among the data's top singular values, and
+        # the first shrinks start cold; they must not fall back to the dense SVD.
+        _, X_obs = _protocol_instance()
+        for method in bench.METHODS:
+            _, trace = solve(X_obs, bench.config_for_method(method, max_iters=5))
+            assert not any(trace.dense_svd), method
+
+
+@pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
+def test_solve_is_scale_equivariant(method):
+    # solve(cX) takes the same iterations as solve(X) and returns c * M(X)
+    # within 1e-12 relative (measured: at most 2.2e-15).
+    _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
+    cfg = bench.config_for_method(method)
+    M, trace = solve(X_obs, cfg)
+    for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        M_c, trace_c = solve(ObservedMatrix(X_obs.values * c, X_obs.mask), cfg)
+        assert trace_c.iters == trace.iters, c
+        assert np.linalg.norm(M_c - c * M) <= 1e-12 * np.linalg.norm(c * M), c
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
+def test_zero_filled_input_flagged(method):
+    # An absolute rho0 = 1e-2 on data scaled by 1e2 keeps every singular
+    # value and "converges" to the zero-filled input; the default does not.
+    _, X_obs = gen_synthetic(SyntheticSpec(m=300, n=200, f_r=0.05, f_m=0.3, seed=20240501))
+    X = ObservedMatrix(X_obs.values * 1e2, X_obs.mask)
+    _, trace = solve(X, bench.config_for_method(method, rho0=1e-2))
+    assert "zero_filled_input" in convergence_diagnostics(trace).flags
+    _, trace = solve(X, bench.config_for_method(method))
+    assert "zero_filled_input" not in convergence_diagnostics(trace).flags
+
+
+def test_zero_filled_input_flag_on_early_convergence():
+    # A rank-1 matrix under a first threshold far below its norm: the second
+    # iteration returns it exactly, without any shrink keeping every value.
+    X = _full(np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
+    _, trace = solve(X, SolverConfig(penalty_kind="soft", rho0=1e3))
+    assert trace.iters <= completion.EARLY_ITERS and not trace.max_iters_reached
+    assert max(trace.kept_rank) < min(X.shape)
+    assert "zero_filled_input" in convergence_diagnostics(trace).flags
+
+
+@pytest.mark.slow
+def test_tall_unit_scale_instance_recovers():
+    # At 20000x40 the zero-filled matrix's third singular value exceeded the
+    # old absolute first threshold 1/rho0 = 100, and how locked in a spurious
+    # third component (rank 3, relative error 0.15 after 82 iterations).
+    truth, X_obs = gen_synthetic(SyntheticSpec(20000, 40, 0.05, 0.3, seed=6215951350))
+    M, trace = solve(X_obs, bench.config_for_method("how"))
+    assert not trace.max_iters_reached
+    assert trace.kept_rank[-1] == 2
+    assert np.linalg.norm(M - truth) <= 1e-5 * np.linalg.norm(truth)

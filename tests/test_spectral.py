@@ -7,6 +7,7 @@ import pytest
 
 from sirmc import SvdTriplet, how, prox_eval, shrink_singular_values, soft_threshold
 from sirmc.errors import NonFiniteInput, SvdFailure
+from sirmc.spectral import norm_estimate
 from sirmc.selftest import TRUNCATION_CASES, planted
 
 
@@ -175,3 +176,18 @@ def test_truncated_triplet_invariants(rng):
     assert np.max(np.abs(t.U.T @ t.U - np.eye(12))) <= 1e-12
     assert np.max(np.abs(t.V.T @ t.V - np.eye(12))) <= 1e-12
     assert np.max(np.abs(D @ t.V - t.U * t.S)) <= 1e-10 * t.S[0]
+
+
+def test_norm_estimate_is_a_homogeneous_lower_bound(rng):
+    # Fixed power steps from a fixed Philox start: no global RNG state is
+    # read or advanced, the result never exceeds ||A||_2 and scales with A.
+    A = rng.standard_normal((30, 20)) * np.linspace(1.0, 0.1, 20)
+    state = np.random.get_state()
+    est = norm_estimate(A)
+    assert np.array_equal(np.random.get_state()[1], state[1])
+    s1 = np.linalg.norm(A, 2)
+    assert 0.5 * s1 <= est <= s1 * (1 + 1e-12)
+    assert norm_estimate(A) == est
+    for c in (1e-6, 1e6):
+        assert abs(norm_estimate(c * A) - c * est) <= 1e-13 * c * est
+    assert norm_estimate(np.zeros((3, 2))) == 0.0
