@@ -188,10 +188,12 @@ class SweepGrid:
                         )
 
 
-def pool_blas_limit(threads: int):
-    """BLAS limit of a pool of `threads` trial threads: the CPUs shared out
-    among them, so that the two counts do not multiply past the cores."""
-    return blas.limit(max(1, blas.cpus() // threads)) if threads > 1 else nullcontext()
+def pool_blas_limit(threads: int, entries: int):
+    """BLAS limit of a pool of `threads` trial threads solving `entries`-entry
+    matrices: one thread at a serial size (blas.serial), else the CPUs shared
+    out among them, so that the two counts do not multiply past the cores."""
+    share = 1 if blas.serial(entries) else max(1, blas.cpus() // threads)
+    return blas.limit(share) if threads > 1 else nullcontext()
 
 
 def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 200,
@@ -202,8 +204,8 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     to remove instance-to-instance variance from the comparison. Seeds derive
     from (cell row, cell column, trial), so parallel execution order cannot
     change any number. Per-trial solver errors are recorded as failures, not
-    raised. threads > 1 runs the trials on a thread pool under pool_blas_limit;
-    its fewer BLAS threads per solve can change an RMSE in its last bits.
+    raised. Pooled trials (threads > 1) run under pool_blas_limit, sequential
+    ones under blas.for_solve; the BLAS count can change an RMSE's last bits.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -230,7 +232,7 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ThreadPoolExecutor  # ~10 ms; only pools pay it
 
-        with pool_blas_limit(threads), ThreadPoolExecutor(max_workers=threads) as pool:
+        with pool_blas_limit(threads, m * n), ThreadPoolExecutor(max_workers=threads) as pool:
             results = dict(zip(tasks, pool.map(run_task, tasks)))
     else:
         results = {task: run_task(task) for task in tasks}
@@ -279,7 +281,7 @@ def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int
     failures recorded as in a sweep. Timing covers solve only; a failed solve
     counts the time until it raised and 0 iterations.
 
-    Sequential by default, so each solve has every BLAS thread. threads > 1
+    Sequential by default, each solve under blas.for_solve. threads > 1
     parallelizes (rank, trial) tasks under pool_blas_limit: iteration counts
     do not change, but each wall time is that of a solve sharing the CPUs.
     """

@@ -1,12 +1,18 @@
 """Thread count of the OpenBLAS that numpy loaded: None when none is found,
 and then setting it does nothing. The count is process-wide, so change it
-only on the thread that starts and joins a pool, never in a worker."""
+only on the thread that starts and joins a pool, never in a worker. A solve
+of at most SERIAL_ENTRIES entries runs on one thread: threading its small
+factorizations costs more than it gains (for_solve, bench.pool_blas_limit)."""
 
 import ctypes
 import functools
 import itertools
 import os
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, nullcontext
+
+# 2 cores, OpenBLAS 0.3.31: 1 thread won at 6e5 and 1.5e6 entries, 2 at 3e6; BENCH_small_solves.json
+SERIAL_ENTRIES = 10**6
 
 
 def cpus() -> int:
@@ -49,3 +55,15 @@ def limit(n: int):
     finally:
         if before is not None:
             _library()[1](before)
+
+
+def serial(entries: int) -> bool:
+    """Whether a solve on a matrix of `entries` entries runs on one BLAS thread."""
+    return entries <= SERIAL_ENTRIES
+
+
+def for_solve(entries: int):
+    """BLAS limit of one solve: one thread at a serial size, set only on the main
+    thread; any other thread (a pool's worker, a caller's own) keeps the count."""
+    owner = threading.current_thread() is threading.main_thread()
+    return limit(1) if owner and serial(entries) else nullcontext()

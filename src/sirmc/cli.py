@@ -84,7 +84,8 @@ def _resolve_threads(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     threads = 1 if args.deterministic else args.threads
-    with bench.pool_blas_limit(threads):
+    # A pool's limit reaches its workers; a sequential solve sets its own.
+    with bench.pool_blas_limit(threads, args.m * args.n), blas.for_solve(args.m * args.n):
         per_solve = blas.threads()
     per_solve, total = ("unknown",) * 2 if per_solve is None else (per_solve, threads * per_solve)
     _log(f"threads: {threads} trial x {per_solve} BLAS = {total} on {blas.cpus()} CPUs")
@@ -130,6 +131,8 @@ def cmd_complete(args) -> int:
     trace.to_csv(args.out + ".trace.csv")
     _log(f"rel_E = {trace.rel_e[-1]:.3e} after {trace.iters} iterations "
          f"({elapsed:.2f}s); wrote {args.out}")
+    _log(f"threads: {trace.blas_threads} BLAS on {blas.cpus()} CPUs" if trace.blas_threads
+         else "threads: BLAS count not read (no OpenBLAS found)")
     flags = convergence_diagnostics(trace).flags
     if flags:
         _log(f"warning: convergence diagnostics: {', '.join(flags)}")

@@ -3,10 +3,11 @@
 The model splits the data as X = M + E with E zero on the observed set, so
 the unobserved entries of M are free. The E-step has a closed form: E is
 -M off the observed set (the multiplier Lambda is zero there) and 0 on it.
-E is therefore never stored. Each iteration shrinks the singular values of
-D = where(observed, X + Lambda/rho, M) with threshold 1/rho, forms the
-residual r = where(observed, X - M, 0) that the implicit E leaves, takes
-the multiplier step Lambda += rho * r and grows rho geometrically. With the
+E is never stored, and Lambda is a vector over the observed set. Each
+iteration shrinks the singular values of D, M with the observed entries set
+to X + Lambda/rho, with threshold 1/rho, forms the residual r = X - M on the
+observed set that the implicit E leaves, takes the multiplier step
+Lambda += rho * r and grows rho geometrically. With the
 soft-threshold penalty this is a nuclear-norm-minimization baseline built
 on the exact same scaffold, so benchmark comparisons vary only the
 regularizer.
@@ -26,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import blas
 from .errors import (
     EmptyObservation,
     NonFiniteInput,
@@ -119,7 +121,8 @@ class SolverConfig:
 class SolverState:
     """ADMM iterates: estimate M, multiplier Lambda, penalty rho, count k.
 
-    Lambda is zero off the observed set; only its observed entries are read.
+    Lambda is zero off the observed set, so it is stored as a vector over it,
+    in the row-major order of np.flatnonzero(mask) (the solve's index omega).
     The complement fill E is implicit: -M off the observed set, 0 on it.
     V holds the right singular vectors of M's nonzero singular values (a
     factor of M, n x 0 for M = 0); the shrink step warm-starts from it.
@@ -144,7 +147,7 @@ class SolverState:
             if norm == 0.0:
                 raise ZeroNormInput("all observed entries are zero; no scale to start from")
             rho = 1.0 / norm
-        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.shape), rho=rho, k=0)
+        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.n_observed), rho=rho, k=0)
 
 
 @dataclass
@@ -171,9 +174,7 @@ class IterTrace:
     norm_x: float = 0.0
     max_iters_reached: bool = False
     full_rank: int = 0  # min(m, n), the rank of a shrink that keeps every value
-
-    def __len__(self) -> int:
-        return len(self.rel_e)
+    blas_threads: Optional[int] = None  # the count the solve ran under; None = unknown
 
     @property
     def iters(self) -> int:
@@ -190,22 +191,24 @@ class IterTrace:
                 )
 
 
-def update_m(state: SolverState, X: ObservedMatrix, config: SolverConfig) -> Shrinkage:
-    """Estimate update: singular-value shrinkage of D = X - E + Lambda/rho,
-    which with the implicit E is X + Lambda/rho on the observed set and M off it,
-    warm-started from the current estimate's right singular vectors."""
-    D = np.where(X.mask, X.values + state.Lambda / state.rho, state.M)
+def update_m(state: SolverState, X: ObservedMatrix, config: SolverConfig,
+             omega: np.ndarray) -> Shrinkage:
+    """Estimate update: singular-value shrinkage of D = X - E + Lambda/rho, which
+    with the implicit E is X + Lambda/rho on the observed set (flat index omega)
+    and M off it, warm-started from the current estimate's right singular vectors."""
+    D = state.M.copy()
+    np.put(D, omega, X.values.take(omega) + state.Lambda / state.rho)
     return shrink_singular_values(D, config.penalty_at(state.rho), start=state.V)
 
 
-def update_e(M_new: np.ndarray, X: ObservedMatrix) -> np.ndarray:
+def update_e(M_new: np.ndarray, X: ObservedMatrix, omega: np.ndarray) -> np.ndarray:
     """E-step in closed form, returned as the residual X - M - E it leaves.
 
     The exact minimizer of the E-subproblem is E = Lambda/rho - M off the
     observed set and 0 on it; with Lambda zero off the set that is -M, so
-    the residual is X - M on the observed set and 0 off it.
+    the residual is 0 off the set, and X - M on it, returned in omega's order.
     """
-    return np.where(X.mask, X.values - M_new, 0.0)
+    return X.values.take(omega) - M_new.take(omega)
 
 
 def update_multiplier_and_rho(state: SolverState, residual: np.ndarray,
@@ -225,6 +228,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
 
     Hitting the iteration cap is not an error: the trace carries a
     max_iters_reached flag. Non-finite iterates abort with NonFiniteIterate.
+    The loop runs under blas.for_solve: one BLAS thread for a small matrix.
     """
     config = SolverConfig() if config is None else config
     norm_x = X.frob_norm()
@@ -233,43 +237,46 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
 
     state = SolverState.initial(X, config)
     trace = IterTrace(norm_x=norm_x, full_rank=min(X.shape))
+    omega = np.flatnonzero(X.mask)
 
-    while True:
-        t0 = time.perf_counter()
-        rho_k = state.rho
-        if not math.isfinite(rho_k):
-            raise NonFiniteIterate(f"rho overflowed at iteration {state.k + 1}")
-        try:
-            shrunk = update_m(state, X, config)
-        except NonFiniteInput as exc:
-            raise NonFiniteIterate(
-                f"iterates went non-finite at iteration {state.k + 1}: {exc}"
-            ) from exc
-        if not shrunk.finite:
-            raise NonFiniteIterate(f"estimate went non-finite at iteration {state.k + 1}")
-        residual = update_e(shrunk.M, X)
-        delta_m = float(np.linalg.norm(shrunk.M - state.M))
-        state.M, state.V = shrunk.M, shrunk.V
-        feas = float(np.linalg.norm(residual))
-        rel_e = feas / norm_x
-        state = update_multiplier_and_rho(state, residual, config)
-        elapsed = time.perf_counter() - t0
+    with blas.for_solve(X.values.size):
+        trace.blas_threads = blas.threads()
+        while True:
+            t0 = time.perf_counter()
+            rho_k = state.rho
+            if not math.isfinite(rho_k):
+                raise NonFiniteIterate(f"rho overflowed at iteration {state.k + 1}")
+            try:
+                shrunk = update_m(state, X, config, omega)
+            except NonFiniteInput as exc:
+                raise NonFiniteIterate(
+                    f"iterates went non-finite at iteration {state.k + 1}: {exc}"
+                ) from exc
+            if not shrunk.finite:
+                raise NonFiniteIterate(f"estimate went non-finite at iteration {state.k + 1}")
+            residual = update_e(shrunk.M, X, omega)
+            delta_m = float(np.linalg.norm(shrunk.M - state.M))
+            state.M, state.V = shrunk.M, shrunk.V
+            feas = float(np.linalg.norm(residual))
+            rel_e = feas / norm_x
+            state = update_multiplier_and_rho(state, residual, config)
+            elapsed = time.perf_counter() - t0
 
-        trace.rel_e.append(rel_e)
-        trace.delta_m.append(delta_m)
-        trace.feas.append(feas)
-        trace.rho.append(rho_k)
-        trace.wall_time.append(elapsed)
-        trace.norm_m.append(shrunk.norm())
-        trace.norm_lambda.append(float(np.linalg.norm(state.Lambda)))
-        trace.kept_rank.append(shrunk.rank)
-        trace.dense_svd.append(shrunk.dense)
+            trace.rel_e.append(rel_e)
+            trace.delta_m.append(delta_m)
+            trace.feas.append(feas)
+            trace.rho.append(rho_k)
+            trace.wall_time.append(elapsed)
+            trace.norm_m.append(shrunk.norm())
+            trace.norm_lambda.append(float(np.linalg.norm(state.Lambda)))
+            trace.kept_rank.append(shrunk.rank)
+            trace.dense_svd.append(shrunk.dense)
 
-        if rel_e <= config.xi:
-            break
-        if state.k >= config.max_iters:
-            trace.max_iters_reached = True
-            break
+            if rel_e <= config.xi:
+                break
+            if state.k >= config.max_iters:
+                trace.max_iters_reached = True
+                break
 
     return state.M, trace
 
@@ -289,7 +296,7 @@ def augmented_lagrangian(state: SolverState, X: ObservedMatrix, config: SolverCo
     penalty = config.penalty_at(rho)
     sv = np.linalg.svd(state.M, compute_uv=False)
     reg_total = float(np.sum(implicit_regularizer(penalty, sv, grid_step=grid_step)))
-    residual = update_e(state.M, X)
+    residual = update_e(state.M, X, np.flatnonzero(X.mask))
     return (
         reg_total / rho
         + 0.5 * float(np.sum(residual * residual))
@@ -313,23 +320,23 @@ class ConvergenceReport:
     flags: tuple
 
 
-DIAGNOSTIC_WINDOW = 10   # trailing iterations that convergence_diagnostics judges
+DIAGNOSTIC_WINDOW = 10   # trailing iterations over which feasibility must fall
+SETTLE_ITERS = 3         # final increments judged; a healthy solve's oscillate down
 DELTA_M_REL_TOL = 1e-6   # settled: increments at most this times ||X||_F
 EARLY_ITERS = 2          # converging within this many iterations is suspect
 
 
 def convergence_diagnostics(trace: IterTrace) -> ConvergenceReport:
-    """Judge a trace: estimate increments settled over the last
-    DIAGNOSTIC_WINDOW iterations, feasibility trending down, and no
-    iteration-cap flag. Any violation is reported as a flag, and so is a
+    """Judge a trace: the last SETTLE_ITERS estimate increments settled,
+    feasibility trending down over the last DIAGNOSTIC_WINDOW iterations, and
+    no iteration-cap flag. Any violation is reported as a flag, and so is a
     solve that kept every singular value or converged within EARLY_ITERS
     iterations: its answer is likely the zero-filled input, not a completion.
     """
-    if len(trace) == 0:
+    if trace.iters == 0:
         raise ValueError("empty trace")
-    last_delta = trace.delta_m[-DIAGNOSTIC_WINDOW:]
     last_feas = trace.feas[-DIAGNOSTIC_WINDOW:]
-    delta_m_settled = max(last_delta) <= DELTA_M_REL_TOL * trace.norm_x
+    delta_m_settled = max(trace.delta_m[-SETTLE_ITERS:]) <= DELTA_M_REL_TOL * trace.norm_x
     feas_decreasing = last_feas[-1] == 0.0 or last_feas[-1] < last_feas[0]
     flags = []
     if trace.max_iters_reached:
@@ -339,7 +346,7 @@ def convergence_diagnostics(trace: IterTrace) -> ConvergenceReport:
     if not feas_decreasing:
         flags.append("feas_stalled")
     if (0 < trace.full_rank <= max(trace.kept_rank, default=0)
-            or (len(trace) <= EARLY_ITERS and not trace.max_iters_reached)):
+            or (trace.iters <= EARLY_ITERS and not trace.max_iters_reached)):
         flags.append("zero_filled_input")
     return ConvergenceReport(
         max_norm_m=max(trace.norm_m),

@@ -53,6 +53,22 @@ class TestComplete:
         assert rmse(X_full, M) < 1e-3
         assert "zero_filled_input" not in capsys.readouterr().err
 
+    def test_logs_the_blas_threads_of_its_solve(self, tmp_path, monkeypatch, capsys):
+        before = blas.threads()
+        args = ["complete", str(DEMO_OBS), "--method", "how", "--out", str(tmp_path / "m.csv")]
+        assert main(args) == 0
+        assert f"threads: 1 BLAS on {blas.cpus()} CPUs" in capsys.readouterr().err.splitlines()
+        monkeypatch.setattr(blas, "SERIAL_ENTRIES", 0)
+        assert main(args) == 0
+        assert (f"threads: {before} BLAS on {blas.cpus()} CPUs"
+                in capsys.readouterr().err.splitlines())
+
+    def test_demo_fixture_has_no_convergence_warning(self, tmp_path, capsys):
+        code = main(["complete", str(DEMO_OBS), "--method", "how",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 0
+        assert "warning:" not in capsys.readouterr().err
+
     def test_diagnostics_flags_logged_as_one_warning(self, tmp_path, rng, capsys):
         # Fully observed full-rank data: the answer is the input itself, so
         # the zero-filled-input flag fires; the exit code stays 0.
@@ -115,12 +131,21 @@ class TestSweep:
         args = [*command, "--trials", "1", "--methods", "nnm", "--m", "12", "--n", "10",
                 "--threads", "2", *FAST_SOLVER, "--out", str(tmp_path / "o.csv")]
         nproc, before = blas.cpus(), blas.threads()
-        share = min(before, max(1, nproc // 2))
+        share = 1 if blas.serial(12 * 10) else min(before, max(1, nproc // 2))
         assert main(args) == 0
         assert (f"threads: 2 trial x {share} BLAS = {2 * share} on {nproc} CPUs"
                 in capsys.readouterr().err.splitlines())
         assert main(args + ["--deterministic"]) == 0
         assert (f"threads: 1 trial x 1 BLAS = 1 on {nproc} CPUs"
+                in capsys.readouterr().err.splitlines())
+
+    @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
+                                         ["bench", "--ranks", "2"]])
+    def test_sequential_small_solves_log_one_blas_thread(self, tmp_path, capsys, command):
+        args = [*command, "--trials", "1", "--methods", "nnm", "--m", "12", "--n", "10",
+                *FAST_SOLVER, "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 0
+        assert (f"threads: 1 trial x 1 BLAS = 1 on {blas.cpus()} CPUs"
                 in capsys.readouterr().err.splitlines())
 
     def test_threads_line_without_openblas(self, tmp_path, monkeypatch, capsys):
