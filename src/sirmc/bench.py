@@ -12,14 +12,13 @@ trial.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import blas
 from .completion import ObservedMatrix, SolverConfig, solve
-from .errors import InvalidSpec, ShapeMismatch, SirmcError
+from .errors import DomainError, InvalidSpec, ShapeMismatch, SirmcError
 from .penalties import SOFT
 
 SUCCESS_RMSE = 1e-3
@@ -40,7 +39,7 @@ TRANSITION_FM = (0.20, 0.35, 0.50, 0.65)
 def penalty_kind(method: str) -> str:
     """Penalty kind behind a method name; nnm is soft thresholding."""
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
     return SOFT if method == "nnm" else method
 
 
@@ -188,14 +187,6 @@ class SweepGrid:
                         )
 
 
-def pool_blas_limit(threads: int, entries: int):
-    """BLAS limit of a pool of `threads` trial threads solving `entries`-entry
-    matrices: one thread at a serial size (blas.serial), else the CPUs shared
-    out among them, so that the two counts do not multiply past the cores."""
-    share = 1 if blas.serial(entries) else max(1, blas.cpus() // threads)
-    return blas.limit(share) if threads > 1 else nullcontext()
-
-
 def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 200,
                 seed: int = 0, configs: dict | None = None, threads: int = 1) -> SweepGrid:
     """Run trials for every (f_r, f_m) cell and method; aggregate success rates.
@@ -204,8 +195,9 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     to remove instance-to-instance variance from the comparison. Seeds derive
     from (cell row, cell column, trial), so parallel execution order cannot
     change any number. Per-trial solver errors are recorded as failures, not
-    raised. Pooled trials (threads > 1) run under pool_blas_limit, sequential
-    ones under blas.for_solve; the BLAS count can change an RMSE's last bits.
+    raised. The tasks run on min(threads, tasks) pool workers, under
+    blas.per_solve's share of the CPUs, or sequentially on one, where each
+    solve sets its own count. The BLAS count can change an RMSE's last bits.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -229,10 +221,11 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         X_full, X_obs = gen_synthetic(spec)
         return _run_methods(X_full, X_obs, methods, configs)
 
-    if threads > 1 and len(tasks) > 1:
+    workers = min(threads, len(tasks))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # ~10 ms; only pools pay it
 
-        with pool_blas_limit(threads, m * n), ThreadPoolExecutor(max_workers=threads) as pool:
+        with blas.limit(blas.per_solve(m * n, workers)), ThreadPoolExecutor(workers) as pool:
             results = dict(zip(tasks, pool.map(run_task, tasks)))
     else:
         results = {task: run_task(task) for task in tasks}
@@ -281,9 +274,9 @@ def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int
     failures recorded as in a sweep. Timing covers solve only; a failed solve
     counts the time until it raised and 0 iterations.
 
-    Sequential by default, each solve under blas.for_solve. threads > 1
-    parallelizes (rank, trial) tasks under pool_blas_limit: iteration counts
-    do not change, but each wall time is that of a solve sharing the CPUs.
+    Sequential by default. threads > 1 parallelizes (rank, trial) tasks as
+    phase_sweep does: iteration counts do not change, but each wall time is
+    that of a solve sharing the CPUs.
     """
     ranks = tuple(int(r) for r in ranks)
     grid = phase_sweep(tuple(r / n for r in ranks), (f_m,), methods, trials, m=m, n=n,

@@ -1,15 +1,15 @@
 """Thread count of the OpenBLAS that numpy loaded: None when none is found,
-and then setting it does nothing. The count is process-wide, so change it
-only on the thread that starts and joins a pool, never in a worker. A solve
-of at most SERIAL_ENTRIES entries runs on one thread: threading its small
-factorizations costs more than it gains (for_solve, bench.pool_blas_limit)."""
+and then setting it does nothing. The count is process-wide, so only the
+main thread sets it (limit); on any other thread, a pool's worker or a
+caller's own, limit leaves it alone. per_solve is the one rule for the
+count a solve gets."""
 
 import ctypes
 import functools
 import itertools
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 # 2 cores, OpenBLAS 0.3.31: 1 thread won at 6e5 and 1.5e6 entries, 2 at 3e6; BENCH_small_solves.json
 SERIAL_ENTRIES = 10**6
@@ -43,11 +43,20 @@ def threads() -> int | None:
     return None if _library() is None else _library()[0]()
 
 
+def per_solve(entries: int, solves: int = 1) -> int:
+    """BLAS threads for each of `solves` concurrent solves on `entries`-entry
+    matrices: one at a small size, where threading the factorizations costs
+    more than it gains, else the CPUs shared out so the counts do not multiply
+    past the cores."""
+    return 1 if entries <= SERIAL_ENTRIES else max(1, cpus() // solves)
+
+
 @contextmanager
 def limit(n: int):
     """Run the body with at most n BLAS threads, never more than the count in
-    effect, and restore that count on exit."""
-    before = threads()
+    effect, and restore that count on exit. Off the main thread the body runs
+    under the count in effect."""
+    before = threads() if threading.current_thread() is threading.main_thread() else None
     if before is not None:
         _library()[1](min(n, before))
     try:
@@ -55,15 +64,3 @@ def limit(n: int):
     finally:
         if before is not None:
             _library()[1](before)
-
-
-def serial(entries: int) -> bool:
-    """Whether a solve on a matrix of `entries` entries runs on one BLAS thread."""
-    return entries <= SERIAL_ENTRIES
-
-
-def for_solve(entries: int):
-    """BLAS limit of one solve: one thread at a serial size, set only on the main
-    thread; any other thread (a pool's worker, a caller's own) keeps the count."""
-    owner = threading.current_thread() is threading.main_thread()
-    return limit(1) if owner and serial(entries) else nullcontext()

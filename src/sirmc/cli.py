@@ -70,25 +70,24 @@ def _add_grid_flags(p: argparse.ArgumentParser, trials: int) -> None:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--threads", type=int, default=1,
                    help="trial-level parallelism (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--deterministic", action="store_true",
                    help="sequential trials and single-threaded numerics")
     p.add_argument("--out", required=True, help="output file path")
 
 
-def _resolve_threads(args) -> int:
-    """Trial threads of a grid command; logs them with the BLAS threads per solve."""
+def _resolve_threads(args, cells: int) -> int:
+    """Trial threads of a grid command; logs its pool workers and each solve's BLAS threads."""
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     threads = 1 if args.deterministic else args.threads
-    # A pool's limit reaches its workers; a sequential solve sets its own.
-    with bench.pool_blas_limit(threads, args.m * args.n), blas.for_solve(args.m * args.n):
-        per_solve = blas.threads()
-    per_solve, total = ("unknown",) * 2 if per_solve is None else (per_solve, threads * per_solve)
-    _log(f"threads: {threads} trial x {per_solve} BLAS = {total} on {blas.cpus()} CPUs")
+    workers, count = max(1, min(threads, cells * args.trials)), blas.threads()
+    per_solve = "unknown" if count is None else min(count, blas.per_solve(args.m * args.n, workers))
+    total = "unknown" if count is None else workers * per_solve
+    _log(f"threads: {workers} trial x {per_solve} BLAS = {total} on {blas.cpus()} CPUs")
     return threads
 
 
@@ -108,9 +107,6 @@ def _parse_fractions(text: str, flag: str):
 def _method_configs(args) -> dict:
     """{method: solver config} for the comma-separated --methods list."""
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in bench.METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {', '.join(bench.METHODS)}")
     return {m: _solver_config(args, m) for m in methods}
 
 
@@ -151,9 +147,10 @@ def cmd_sweep(args) -> int:
         fr_values = _parse_fractions(args.fr_values, "--fr-values")
         fm_values = _parse_fractions(args.fm_values, "--fm-values")
     configs = _method_configs(args)
+    threads = _resolve_threads(args, len(fr_values) * len(fm_values))
     grid = bench.phase_sweep(fr_values, fm_values, tuple(configs), args.trials,
                              m=args.m, n=args.n, seed=args.seed,
-                             configs=configs, threads=_resolve_threads(args))
+                             configs=configs, threads=threads)
     grid.to_csv(args.out)
     _log(f"swept {len(fr_values)}x{len(fm_values)} cells x {len(configs)} methods "
          f"x {args.trials} trials; wrote {args.out}")
@@ -173,7 +170,7 @@ def cmd_bench(args) -> int:
     configs = _method_configs(args)
     table = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
                                 m=args.m, n=args.n, seed=args.seed,
-                                configs=configs, threads=_resolve_threads(args))
+                                configs=configs, threads=_resolve_threads(args, len(ranks)))
     table.to_csv(args.out)
     _log(f"benchmarked ranks {list(ranks)}; wrote {args.out}")
     # A solve that raised is recorded with 0 iterations.

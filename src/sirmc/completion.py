@@ -29,6 +29,7 @@ import numpy as np
 
 from . import blas
 from .errors import (
+    DomainError,
     EmptyObservation,
     NonFiniteInput,
     NonFiniteIterate,
@@ -96,15 +97,15 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.penalty_kind not in SOLVER_KINDS:
-            raise ValueError(f"penalty_kind must be one of {SOLVER_KINDS}, got {self.penalty_kind!r}")
-        if self.rho0 is not None and not self.rho0 > 0:
-            raise NonPositiveParameter(f"rho0 must be positive, got {self.rho0}")
-        if not self.mu > 1:
-            raise ValueError(f"mu must exceed 1, got {self.mu}")
-        if not self.xi > 0:
-            raise NonPositiveParameter(f"xi must be positive, got {self.xi}")
+            raise DomainError(f"penalty_kind must be one of {SOLVER_KINDS}, got {self.penalty_kind!r}")
+        if self.rho0 is not None and not 0 < self.rho0 < math.inf:
+            raise NonPositiveParameter(f"rho0 must be positive and finite, got {self.rho0}")
+        if not 1 < self.mu < math.inf:
+            raise DomainError(f"mu must exceed 1 and be finite, got {self.mu}")
+        if not 0 < self.xi < math.inf:
+            raise NonPositiveParameter(f"xi must be positive and finite, got {self.xi}")
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
         # The shape ratio is checked by the same rules as any penalty, at
         # threshold 1; the ratio is the same at every threshold.
         validate(self.penalty_at(1.0))
@@ -228,7 +229,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
 
     Hitting the iteration cap is not an error: the trace carries a
     max_iters_reached flag. Non-finite iterates abort with NonFiniteIterate.
-    The loop runs under blas.for_solve: one BLAS thread for a small matrix.
+    The loop runs under blas.per_solve's count: one BLAS thread for a small matrix.
     """
     config = SolverConfig() if config is None else config
     norm_x = X.frob_norm()
@@ -239,7 +240,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     trace = IterTrace(norm_x=norm_x, full_rank=min(X.shape))
     omega = np.flatnonzero(X.mask)
 
-    with blas.for_solve(X.values.size):
+    with blas.limit(blas.per_solve(X.values.size)):
         trace.blas_threads = blas.threads()
         while True:
             t0 = time.perf_counter()

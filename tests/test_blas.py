@@ -1,5 +1,6 @@
-"""The OpenBLAS thread count: get, limit and restore, its share in a sweep pool,
-and the rule of a single solve."""
+"""The OpenBLAS thread count: get, limit and restore on the main thread only,
+and the one rule of the count a solve gets (per_solve), alone, in a single
+solve and in a sweep pool."""
 
 import sys
 import threading
@@ -47,6 +48,17 @@ def test_unknown_library_is_a_no_op(monkeypatch):
     assert blas.threads() is None
     with blas.limit(1):
         assert blas.threads() is None
+
+
+def test_per_solve_rule(monkeypatch):
+    monkeypatch.setattr(blas, "cpus", lambda: 8)
+    serial = blas.SERIAL_ENTRIES
+    assert blas.per_solve(serial) == blas.per_solve(serial, 3) == 1
+    assert blas.per_solve(serial + 1) == 8
+    assert blas.per_solve(serial + 1, 3) == 2
+    assert blas.per_solve(serial + 1, 9) == blas.per_solve(serial + 1, 100) == 1
+    monkeypatch.setattr(blas, "SERIAL_ENTRIES", 0)  # read at call time
+    assert blas.per_solve(1, 2) == 4
 
 
 def _sweep_seeing_threads(monkeypatch, threads):
@@ -115,6 +127,21 @@ def _spy_setter(monkeypatch):
 
     monkeypatch.setattr(blas, "_library", lambda: (get, spy))
     return callers
+
+
+def test_limit_off_the_main_thread_never_sets_the_count(monkeypatch):
+    before = blas.threads()
+    callers = _spy_setter(monkeypatch)
+    seen = []
+
+    def body():
+        with blas.limit(1):
+            seen.append(blas.threads())
+
+    worker = threading.Thread(target=body)
+    worker.start()
+    worker.join()
+    assert callers == [] and seen == [before]
 
 
 def _two_threads():

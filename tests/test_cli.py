@@ -128,10 +128,10 @@ class TestSweep:
     @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
                                          ["bench", "--ranks", "2"]])
     def test_logs_threads_in_effect(self, tmp_path, capsys, command):
-        args = [*command, "--trials", "1", "--methods", "nnm", "--m", "12", "--n", "10",
+        args = [*command, "--trials", "2", "--methods", "nnm", "--m", "12", "--n", "10",
                 "--threads", "2", *FAST_SOLVER, "--out", str(tmp_path / "o.csv")]
         nproc, before = blas.cpus(), blas.threads()
-        share = 1 if blas.serial(12 * 10) else min(before, max(1, nproc // 2))
+        share = min(before, blas.per_solve(12 * 10, 2))
         assert main(args) == 0
         assert (f"threads: 2 trial x {share} BLAS = {2 * share} on {nproc} CPUs"
                 in capsys.readouterr().err.splitlines())
@@ -144,13 +144,15 @@ class TestSweep:
     def test_sequential_small_solves_log_one_blas_thread(self, tmp_path, capsys, command):
         args = [*command, "--trials", "1", "--methods", "nnm", "--m", "12", "--n", "10",
                 *FAST_SOLVER, "--out", str(tmp_path / "o.csv")]
-        assert main(args) == 0
-        assert (f"threads: 1 trial x 1 BLAS = 1 on {blas.cpus()} CPUs"
-                in capsys.readouterr().err.splitlines())
+        # One task runs sequentially whatever --threads asks for.
+        for threads in (["--threads", "1"], ["--threads", "4"]):
+            assert main(args + threads) == 0
+            assert (f"threads: 1 trial x 1 BLAS = 1 on {blas.cpus()} CPUs"
+                    in capsys.readouterr().err.splitlines())
 
     def test_threads_line_without_openblas(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(blas, "_library", lambda: None)
-        code = main(["sweep", "--fr-values", "0.1", "--fm-values", "0.2", "--trials", "1",
+        code = main(["sweep", "--fr-values", "0.1", "--fm-values", "0.2", "--trials", "2",
                      "--methods", "nnm", "--m", "12", "--n", "10", "--threads", "2",
                      *FAST_SOLVER, "--out", str(tmp_path / "o.csv")])
         assert code == 0
@@ -258,9 +260,30 @@ class TestParsing:
         assert capsys.readouterr().err.count("unknown") == 1
 
     def test_complete_has_no_threads_flag(self, tmp_path, capsys):
-        code = main(["complete", "x.csv", "--threads", "2", "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert "usage error: unrecognized arguments: --threads 2" in capsys.readouterr().err
+        # Nor --seed: complete uses no randomness.
+        for flag in ("--threads 2", "--seed 3"):
+            code = main(["complete", "x.csv", *flag.split(), "--out", str(tmp_path / "o.csv")])
+            assert code == 1
+            assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--mu", "1"], ["--max-iters", "0"], ["--mu", "nan"],
+                                      ["--mu", "inf"], ["--xi", "inf"], ["--rho0", "inf"]])
+    def test_bad_solver_flag_is_one_error_line(self, tmp_path, flag):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sirmc", "complete", str(DEMO_OBS), *flag,
+             "--out", str(tmp_path / "o.csv")],
+            capture_output=True, text=True)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag[0][2:].replace('-', '_')} ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_imports_no_optional_dependency(self):
+        code = ("import sys, sirmc, sirmc.cli; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'threadpoolctl'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_unknown_flag_exit_one(self, tmp_path):
         assert main(["complete", "x.csv", "--bogus", "--out", "o.csv"]) == 1
