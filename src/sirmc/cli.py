@@ -22,12 +22,13 @@ import numpy as np
 
 from . import bench, blas, matio, penalties, selftest
 from .completion import SolverConfig, convergence_diagnostics, solve
-from .errors import SirmcError, UsageError
+from .errors import DomainError, SirmcError, UsageError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITERS = 2
 EXIT_SELFTEST = 3
+MAX_CURVE_ROWS = 1e7  # prox-curve rows; 1e7 already write about 1 GB
 
 PRESETS = {
     "paper-grid": (bench.PAPER_GRID, bench.PAPER_GRID),
@@ -179,13 +180,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_prox_curve(args) -> int:
+    if not np.isfinite([args.xmin, args.xmax, args.step]).all():
+        raise DomainError("--xmin, --xmax and --step must be finite")
     if args.step <= 0:
         raise UsageError("--step must be positive")
     if args.xmax <= args.xmin:
         raise UsageError("--xmax must exceed --xmin")
     penalty = penalties.make_penalty(bench.penalty_kind(args.method), args.lam, shape=args.shape)
     penalties.validate(penalty, strict=False)
-    count = int(round((args.xmax - args.xmin) / args.step)) + 1
+    rows = (args.xmax - args.xmin) / args.step
+    if not rows < MAX_CURVE_ROWS:
+        raise DomainError(f"--step {args.step!r} gives {rows:.3g} rows, over {MAX_CURVE_ROWS:g}")
+    count = int(round(rows)) + 1
     xs = args.xmin + args.step * np.arange(count)
     loss = np.asarray(penalties.loss_eval(penalty, xs))
     prox = np.asarray(penalties.prox_eval(penalty, xs))

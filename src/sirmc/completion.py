@@ -15,7 +15,7 @@ regularizer.
 The state also carries V, the right singular vectors of M's nonzero
 singular values. Each shrink starts from it and, when that certifies,
 computes only the singular values above 1/rho (see spectral); the trace
-records how many survived and whether the dense SVD ran.
+records how many survived and which route the shrink took.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class IterTrace:
     the observed-set residual that the implicit E leaves (feas is its
     numerator); the iterate norms are kept for boundedness diagnostics and
     are not part of the CSV schema. kept_rank is the number of singular
-    values above the threshold 1/rho, and dense_svd whether the shrink ran
-    the dense SVD rather than the truncated one.
+    values above the threshold 1/rho; dense_svd and gram_svd say whether the
+    shrink ran the LAPACK SVD or the Gram route (neither: the truncated one).
     """
 
     rel_e: list = field(default_factory=list)
@@ -172,6 +172,7 @@ class IterTrace:
     norm_lambda: list = field(default_factory=list)
     kept_rank: list = field(default_factory=list)
     dense_svd: list = field(default_factory=list)
+    gram_svd: list = field(default_factory=list)
     norm_x: float = 0.0
     max_iters_reached: bool = False
     full_rank: int = 0  # min(m, n), the rank of a shrink that keeps every value
@@ -183,12 +184,12 @@ class IterTrace:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd\n")
+            f.write("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd,gram_svd\n")
             for k in range(len(self.rel_e)):
                 f.write(
                     f"{k + 1},{self.rel_e[k]!r},{self.delta_m[k]!r},"
                     f"{self.feas[k]!r},{self.rho[k]!r},{self.wall_time[k]!r},"
-                    f"{self.kept_rank[k]},{int(self.dense_svd[k])}\n"
+                    f"{self.kept_rank[k]},{int(self.dense_svd[k])},{int(self.gram_svd[k])}\n"
                 )
 
 
@@ -271,7 +272,8 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
             trace.norm_m.append(shrunk.norm())
             trace.norm_lambda.append(float(np.linalg.norm(state.Lambda)))
             trace.kept_rank.append(shrunk.rank)
-            trace.dense_svd.append(shrunk.dense)
+            trace.dense_svd.append(shrunk.route == "dense")
+            trace.gram_svd.append(shrunk.route == "gram")
 
             if rel_e <= config.xi:
                 break

@@ -53,21 +53,12 @@ def _parse_matrix(path):
             )
         row, miss = [], []
         for col, tok in enumerate(tokens, start=1):
-            tok = tok.strip()
-            if tok.lower() == "nan":
-                row.append(0.0)
-                miss.append(True)
-                continue
             try:
-                val = float(tok)
+                val = float(tok)  # parses `nan` in any case, and blanks around a token
             except ValueError:
-                raise ParseError(f"{path}:{lineno}:{col}: bad number {tok!r}") from None
-            if math.isnan(val):
-                row.append(0.0)
-                miss.append(True)
-            else:
-                row.append(val)
-                miss.append(False)
+                raise ParseError(f"{path}:{lineno}:{col}: bad number {tok.strip()!r}") from None
+            miss.append(math.isnan(val))
+            row.append(0.0 if miss[-1] else val)
         rows.append(row)
         missing_rows.append(miss)
     return np.array(rows, dtype=float), np.array(missing_rows, dtype=bool)

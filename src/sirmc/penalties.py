@@ -97,11 +97,11 @@ class Penalty:
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise NonPositiveParameter(f"lam must be positive, got {self.lam}")
+            raise NonPositiveParameter(f"lam must be finite and positive, got {self.lam}")
         if self.kind in STRICT_SHAPE_RATIO:
             if self.shape is None or not (self.shape > 0.0 and math.isfinite(self.shape)):
                 raise NonPositiveParameter(
-                    f"{self.kind} needs a positive shape parameter, got {self.shape}"
+                    f"{self.kind} needs a finite and positive shape parameter, got {self.shape}"
                 )
         if self.kind == GENERIC and self.generator is None:
             raise ValueError("generic penalty needs a generator")
@@ -184,7 +184,7 @@ def continuity_constants(generator: GeneratorFunction, lam: float) -> Continuity
     gives b. Raises ZeroDerivativeAtThreshold when h'(lam) = 0 (a undefined).
     """
     if not (lam > 0.0 and math.isfinite(lam)):
-        raise NonPositiveParameter(f"lam must be positive, got {lam}")
+        raise NonPositiveParameter(f"lam must be finite and positive, got {lam}")
     hp = float(generator.h_prime(np.float64(lam)))
     if hp == 0.0 or not math.isfinite(hp):
         raise ZeroDerivativeAtThreshold(f"h'({lam}) = {hp}")

@@ -162,24 +162,26 @@ def planted(rng, values, m: int = 200, n: int = 120):
     return (U * s) @ V.T, V
 
 
-# Planted spectra at threshold 1 and the warm-start width each starts from.
+# Planted spectra at threshold 1 and the warm-start width each starts from;
+# "wide_warm" starts wider than the truncated block allows (the Gram route).
 TRUNCATION_CASES = {
     "separated": (list(np.linspace(8.0, 1.5, 12)) + [0.1] * 50, 4),
     "block_doubles": (list(np.linspace(5.0, 2.0, 15)) + list(np.linspace(0.1, 0.01, 80)), 2),
     "cluster_above": ([1.001] * 40 + list(np.linspace(0.9, 0.1, 60)), 10),
     "at_threshold": ([4.0, 3.0, 2.5, 1.0, 1.0, 1.0] + [0.5] * 30, 3),
     "rank_deficient": ([6.0, 5.0, 4.0, 3.0, 2.0], 0),
+    "wide_warm": (list(np.linspace(6.0, 1.5, 40)) + list(np.linspace(0.9, 0.1, 60)), 40),
 }
 
 
 def suite_truncated_shrink(prox: Callable, seed: int = 0) -> SuiteResult:
-    """The warm-started shrink, which truncates the SVD when it certifies,
-    against the dense one on planted 200x120 spectra: the same number of
-    kept values and outputs within 1e-10 * sigma_1."""
+    """The warm-started shrink, which truncates the SVD or takes the Gram
+    route when one certifies, against the dense one on planted 200x120
+    spectra: the same number of kept values and outputs within 1e-10 * sigma_1."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ok = True
     worst = 0.0
-    truncated = total = 0
+    routes = dict.fromkeys(("truncated", "gram", "dense"), 0)
     details = []
     for name, (values, width) in TRUNCATION_CASES.items():
         D, V = planted(rng, values)
@@ -188,12 +190,12 @@ def suite_truncated_shrink(prox: Callable, seed: int = 0) -> SuiteResult:
             out = shrink_singular_values(D, p, start=V[:, :width])
             err = float(np.max(np.abs(out.M - shrink_singular_values(D, p)))) / s[0]
             worst = max(worst, err)
-            truncated += not out.dense
-            total += 1
+            routes[out.route] += 1
             if out.rank != np.count_nonzero(np.asarray(prox(p, s))) or err > 1e-10:
                 ok = False
                 details.append(f"{name}/{p.kind}: kept {out.rank}, error {err:.2g}")
-    details.append(f"{truncated} of {total} truncated, worst error {worst:.2g} * sigma_1")
+    details.append(", ".join(f"{n} {route}" for route, n in routes.items())
+                   + f" of {sum(routes.values())}; worst error {worst:.2g} * sigma_1")
     return _result("truncated_shrink", ok, "; ".join(details))
 
 

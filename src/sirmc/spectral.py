@@ -9,8 +9,8 @@ Every penalty's prox is exactly zero on [-lam, lam], so only the singular
 values above the threshold matter. Given a warm start (the right singular
 vectors the previous shrink kept), the shrinkage computes just those with a
 certified randomized subspace iteration (Halko, Martinsson & Tropp 2011)
-and falls back to the dense SVD whenever truncation would be the slower
-path or its checks fail. Without a warm start it always runs the dense SVD.
+while its block stays narrow, else from a certified eigendecomposition of
+D^T D or D D^T, and runs the dense SVD when both fail or without a warm start.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .penalties import Penalty, prox_eval
 
 # Truncated SVD constants (fixed; not configuration).
 OVERSAMPLE = 10          # block columns beyond the warm rank
-POWER_STEPS = 12         # power steps allowed before going dense
-BLOCK_DIVISOR = 4        # truncate only while the block is <= min(m, n) / 4
+POWER_STEPS = 12         # power steps allowed before giving up
+BLOCK_DIVISOR = 5        # truncate while the block is <= min(m, n) / 5; wider, _gram_svd costs less
 SETTLE_TOL = 1e-12       # settled: kept Ritz values move <= this times s_1
 DROP_MARGIN = 10         # largest dropped Ritz value: below lam by this times its rise
 RESIDUAL_TOL = 1e-10     # certified: triplet residuals <= this times s_1
@@ -37,23 +37,32 @@ NORM_POWER_STEPS = 4     # power steps of norm_estimate
 @dataclass(frozen=True)
 class SvdTriplet:
     """Thin SVD D = U @ diag(S) @ V.T with S sorted nonincreasing, or, when
-    `dense` is False, only the triplets of D with S above a threshold."""
+    `route` is "truncated" or "gram", only the triplets with S above a threshold."""
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    dense: bool = True
+    route: str = "dense"
+
+    @property
+    def dense(self) -> bool:
+        """Whether the LAPACK SVD ran."""
+        return self.route == "dense"
 
     @classmethod
     def of(cls, D: np.ndarray, above: float | None = None,
            start: np.ndarray | None = None) -> "SvdTriplet":
-        """Dense thin SVD of D; with a threshold `above` and a warm start
-        (n x k, orthonormal columns), the truncated SVD when it certifies."""
+        """Dense thin SVD of D; with a threshold `above` and a warm start (n x k,
+        orthonormal columns), the truncated SVD, else the Gram route, if one certifies."""
         try:
             if start is not None:
                 found = _truncated_svd(D, above, start)
                 if found is not None:
-                    return cls(*found, dense=False)
+                    return cls(*found, route="truncated")
+                if min(D.shape) // BLOCK_DIVISOR >= OVERSAMPLE:
+                    found = _gram_svd(D, above)
+                    if found is not None:
+                        return cls(*found, route="gram")
             U, s, Vh = np.linalg.svd(D, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SvdFailure(f"SVD did not converge: {exc}") from exc
@@ -62,7 +71,7 @@ class SvdTriplet:
 
 def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
     """(U, S, V) holding exactly the singular triplets of D with S > lam, or
-    None when the dense SVD should run instead.
+    None when another route should run instead.
 
     ||D||_F <= lam proves that no value exceeds lam (empty result). Else a
     block of `start` plus OVERSAMPLE fill columns from a fixed Philox stream
@@ -83,7 +92,7 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
 
     These are a posteriori tests, not a proof that no value above lam lies
     outside the block. A block wider than min(m, n) / BLOCK_DIVISOR, where
-    the power steps cost about as much as the dense SVD, goes dense, and so
+    the power steps cost about as much as the Gram route, gives up, and so
     does a block whose residuals, shrinking at their last observed rate,
     would not reach the tolerance within the steps left. The step budget
     lets a cold or thin start (the first shrinks of a solve) certify: a
@@ -131,6 +140,26 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
     return None
 
 
+def _gram_svd(D: np.ndarray, lam: float):
+    """(U, S, V) holding exactly the singular triplets of D with S > lam, or
+    None: the eigenvalues w > lam^2 of D^T D (D D^T when m < n) give S =
+    sqrt(w), V their eigenvectors and U = D V / S. Squaring costs accuracy,
+    about n * eps * s_1^2 in w (Golub & Van Loan, ch. 8), so the route gives
+    up when a w lies that close to lam^2, and unless every kept triplet has
+    ||D^T u - v s|| <= RESIDUAL_TOL * s_1 (which blurred small values fail).
+    """
+    A = D if D.shape[0] >= D.shape[1] else D.T
+    w, V = np.linalg.eigh(A.T @ A)  # ascending
+    if np.any(np.abs(w - lam * lam) <= A.shape[1] * np.finfo(float).eps * w[-1]):
+        return None
+    keep = np.flatnonzero(w > lam * lam)[::-1]
+    s, V = np.sqrt(w[keep]), V[:, keep]
+    U = (A @ V) / s
+    if np.any(np.linalg.norm(A.T @ U - V * s, axis=0) > RESIDUAL_TOL * np.sqrt(w[-1])):
+        return None
+    return (U, s, V) if A is D else (V, s, U)
+
+
 def norm_estimate(A: np.ndarray) -> float:
     """Estimate of ||A||_2 from NORM_POWER_STEPS power steps on A^T A from a
     fixed Philox start: a lower bound, homogeneous in A, with no SVD."""
@@ -145,14 +174,14 @@ def norm_estimate(A: np.ndarray) -> float:
 class Shrinkage:
     """A warm-started shrink M = U @ diag(S) @ V.T: S holds the nonzero
     shrunk singular values and V their right singular vectors (the next
-    shrink's warm start); `dense` says whether the dense SVD ran, and
-    `finite` whether the factors M was formed from are finite, which makes
-    M finite (|M_ij| <= max S for orthonormal U and V)."""
+    shrink's warm start); `route` is the SvdTriplet's, and `finite` says
+    whether the factors M was formed from are finite, which makes M finite
+    (|M_ij| <= max S for orthonormal U and V)."""
 
     M: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    dense: bool
+    route: str
     finite: bool
 
     @property
@@ -173,7 +202,7 @@ def shrink_singular_values(D: np.ndarray, penalty: Penalty,
     `start` this is the dense SVD and returns the matrix. With `start`, the
     right singular vectors of the previous shrink's kept values (n x 0 at
     first), only the values above lam are computed when that certifies (see
-    `_truncated_svd`), and a `Shrinkage` is returned.
+    `_truncated_svd` and `_gram_svd`), and a `Shrinkage` is returned.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2:
@@ -188,4 +217,4 @@ def shrink_singular_values(D: np.ndarray, penalty: Penalty,
     finite = bool(np.isfinite(s).all() and np.isfinite(svd.U).all()
                   and np.isfinite(svd.V).all())
     keep = s != 0.0
-    return Shrinkage((svd.U * s) @ svd.V.T, s[keep], svd.V[:, keep], svd.dense, finite)
+    return Shrinkage((svd.U * s) @ svd.V.T, s[keep], svd.V[:, keep], svd.route, finite)

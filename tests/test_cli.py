@@ -35,7 +35,8 @@ class TestComplete:
         M = load_observed(str(out)).values
         assert np.linalg.norm(M - X) / np.linalg.norm(X) <= 1e-6
         trace_lines = (tmp_path / "out.csv.trace.csv").read_text().splitlines()
-        assert trace_lines[0] == "k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd"
+        assert trace_lines[0] == ("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd,"
+                                  "gram_svd")
         assert len(trace_lines) > 1
         rows = np.loadtxt(tmp_path / "out.csv.trace.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows[-1, 6] == 8  # the full-rank data keeps every value at the end
@@ -43,6 +44,7 @@ class TestComplete:
         # while ||D||_F <= 1/rho proves that nothing survives.
         assert set(rows[:, 7]) <= {0.0, 1.0} and rows[-1, 7] == 1.0
         assert np.all(rows[rows[:, 7] == 0.0, 6] == 0.0)
+        assert np.all(rows[:, 8] == 0.0)  # nor is it wide enough for the Gram route
 
     def test_demo_fixture_recovers_ground_truth(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -214,6 +216,23 @@ class TestProxCurve:
         code = main(["prox-curve", "--step", "0", "--out", str(tmp_path / "c.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--xmin", "nan"], "--xmin, --xmax and --step must be finite"),
+        (["--xmax", "inf"], "--xmin, --xmax and --step must be finite"),
+        (["--step", "nan"], "--xmin, --xmax and --step must be finite"),
+        (["--step", "1e-300"], "--step 1e-300 gives 6e+300 rows, over 1e+07"),
+        (["--xmin=-1e308", "--xmax=1e308"], "--step 0.01 gives inf rows, over 1e+07"),
+        (["--method", "hoc", "--shape", "nan"],
+         "hoc needs a finite and positive shape parameter, got nan"),
+    ])
+    def test_bad_range_is_one_error_line(self, tmp_path, flags, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sirmc", "prox-curve", *flags, "--out", str(tmp_path / "c.csv")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestSelftest:
     @pytest.mark.slow
@@ -277,6 +296,13 @@ class TestParsing:
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         assert len(lines) == 1 and lines[0].startswith(f"error: {flag[0][2:].replace('-', '_')} ")
         assert not (tmp_path / "o.csv").exists()
+
+    def test_nonfinite_shape_ratio_is_not_called_nonpositive(self, tmp_path, capsys):
+        code = main(["complete", str(DEMO_OBS), "--shape-ratio", "inf",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: how needs a finite and positive shape parameter, got inf"]
 
     def test_imports_no_optional_dependency(self):
         code = ("import sys, sirmc, sirmc.cli; "

@@ -494,6 +494,7 @@ def test_truncated_solve_matches_dense_solve(cell, methods, monkeypatch):
     truth, X_obs = _protocol_instance(*cell)
     fast = {m: solve(X_obs, bench.config_for_method(m)) for m in methods}
     monkeypatch.setattr(spectral, "_truncated_svd", lambda D, lam, start: None)
+    monkeypatch.setattr(spectral, "_gram_svd", lambda D, lam: None)
     for m in methods:
         M_dense, trace_dense = solve(X_obs, bench.config_for_method(m))
         M_fast, trace_fast = fast[m]
@@ -502,6 +503,24 @@ def test_truncated_solve_matches_dense_solve(cell, methods, monkeypatch):
         rel_fast, rel_dense = (np.linalg.norm(M - truth) / np.linalg.norm(truth)
                                for M in (M_fast, M_dense))
         assert abs(rel_fast - rel_dense) <= 1e-3 * rel_dense
+
+
+def test_trace_records_each_shrinks_route(monkeypatch):
+    # At 150x100 and rank 20 the kept spectrum outgrows the truncated block:
+    # those shrinks take the Gram route, and the trace says which did.
+    _, X_obs = gen_synthetic(SyntheticSpec(m=150, n=100, f_r=0.2, f_m=0.3, seed=1))
+    of = spectral.SvdTriplet.__dict__["of"].__func__
+    routes = []
+
+    def spy(cls, D, above=None, start=None):
+        routes.append(of(cls, D, above, start))
+        return routes[-1]
+
+    monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
+    _, trace = solve(X_obs, bench.config_for_method("how", mu=1.10))
+    assert trace.gram_svd == [svd.route == "gram" for svd in routes]
+    assert trace.dense_svd == [svd.route == "dense" for svd in routes]
+    assert any(trace.gram_svd) and not any(trace.dense_svd)
 
 
 def test_trace_norm_m_is_read_from_the_shrunk_values():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sirmc import SvdTriplet, how, prox_eval, shrink_singular_values, soft_threshold
+from sirmc import SvdTriplet, how, prox_eval, shrink_singular_values, soft_threshold, spectral
 from sirmc.errors import NonFiniteInput, SvdFailure
 from sirmc.spectral import norm_estimate
 from sirmc.selftest import TRUNCATION_CASES, planted
@@ -133,12 +133,15 @@ def _matches_dense(D, penalty, start):
 @pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
 def test_truncated_matches_dense_on_planted_spectra(rng, penalty, case):
     # Cases: 40 values at 1.001 lam seen from a 10-column warm start, a
-    # block that must double, values exactly at lam, a rank-deficient input.
+    # block that must double, values exactly at lam, a rank-deficient input,
+    # a warm start wider than the truncated block allows.
     values, width = TRUNCATION_CASES[case]
     D, V = planted(rng, values)
     out = _matches_dense(D, penalty, V[:, :width])
     if case in ("separated", "block_doubles", "rank_deficient"):
-        assert not out.dense  # the fast path ran
+        assert out.route == "truncated"  # the fast path ran
+    if case in ("cluster_above", "wide_warm"):
+        assert out.route == "gram"
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.9])
@@ -146,7 +149,7 @@ def test_truncated_frobenius_shortcut_is_bitwise_dense(rng, penalty, scale):
     D = rng.standard_normal((200, 120))
     D *= scale / np.linalg.norm(D)  # ||D||_F <= lam = 1: nothing survives
     out = shrink_singular_values(D, penalty, start=np.zeros((120, 0)))
-    assert out.rank == 0 and not out.dense
+    assert out.rank == 0 and out.route == "truncated"
     assert out.M.tobytes() == shrink_singular_values(D, penalty).tobytes()
 
 
@@ -163,7 +166,7 @@ def test_truncated_is_deterministic(rng):
     np.random.seed(7)
     np.random.standard_normal(1000)  # the fill must not come from global state
     again = shrink_singular_values(D, how(1.0), start=V[:, :4])
-    assert not first.dense
+    assert first.route == "truncated"
     for a, b in ((first.M, again.M), (first.S, again.S), (first.V, again.V)):
         assert a.tobytes() == b.tobytes()
 
@@ -176,6 +179,52 @@ def test_truncated_triplet_invariants(rng):
     assert np.max(np.abs(t.U.T @ t.U - np.eye(12))) <= 1e-12
     assert np.max(np.abs(t.V.T @ t.V - np.eye(12))) <= 1e-12
     assert np.max(np.abs(D @ t.V - t.U * t.S)) <= 1e-10 * t.S[0]
+
+
+# The Gram route against np.linalg.svd: kept values above lam = 1 planted
+# within 1e-8 relative of it, on both sides, in a tall and a wide matrix.
+NEAR_LAM = list(np.linspace(6.0, 1.5, 30)) + [1 + 1e-8, 1 - 1e-8] + list(np.linspace(0.9, 0.1, 40))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_gram_route_matches_lapack_svd(rng, wide):
+    D, _ = planted(rng, NEAR_LAM)
+    D = D.T if wide else D
+    s = np.linalg.svd(D, compute_uv=False)
+    U, S, V = spectral._gram_svd(D, 1.0)
+    assert U.shape == (D.shape[0], 31) and V.shape == (D.shape[1], 31)
+    assert S.size == np.count_nonzero(s > 1.0)
+    assert np.all(np.diff(S) <= 0.0)
+    assert np.max(np.abs(S - s[:S.size])) <= 1e-10 * s[0]
+    assert np.max(np.abs(D @ V - U * S)) <= 1e-10 * s[0]
+    assert np.max(np.abs(D.T @ U - V * S)) <= 1e-10 * s[0]
+
+
+@pytest.mark.parametrize("near", [1.0, 1 + 1e-15, 1 - 1e-15])
+def test_gram_route_gives_up_near_lam(rng, near):
+    # A value whose square lies within n * eps * s_1^2 of lam^2 may sit on
+    # either side of lam in the Gram matrix's eigenvalues.
+    D, V = planted(rng, [6.0, 3.0, near] + [0.5] * 30)
+    assert spectral._gram_svd(D, 1.0) is None
+    assert spectral._gram_svd(D.T, 1.0) is None
+    out = shrink_singular_values(D, how(1.0), start=np.zeros((D.shape[1], 0)))
+    assert out.route != "gram"
+
+
+def test_gram_route_gives_up_on_blurred_small_values(rng):
+    # Values 3e-7 * s_1, far enough above lam for the eigenvalue gap test,
+    # but squaring blurs their vectors beyond RESIDUAL_TOL * s_1.
+    D, _ = planted(rng, [5e6, 1.5, 1.4])
+    w = np.linalg.eigvalsh(D.T @ D)
+    assert np.all(np.abs(w - 1.0) > D.shape[1] * np.finfo(float).eps * w[-1])
+    assert spectral._gram_svd(D, 1.0) is None
+
+
+def test_gram_route_certifies_every_kept_triplet(rng, monkeypatch):
+    D, _ = planted(rng, NEAR_LAM)
+    assert spectral._gram_svd(D, 1.0) is not None
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-18)
+    assert spectral._gram_svd(D, 1.0) is None
 
 
 def test_norm_estimate_is_a_homogeneous_lower_bound(rng):
