@@ -19,13 +19,11 @@ import numpy as np
 from . import blas
 from .completion import ObservedMatrix, SolverConfig, solve
 from .errors import DomainError, InvalidSpec, ShapeMismatch, SirmcError
-from .penalties import SOFT
+from .penalties import METHODS, make_penalty
 
 SUCCESS_RMSE = 1e-3
 # A grid cell counts toward a method's success region at this success rate.
 SUCCESS_CELL_RATE = 0.5
-
-METHODS = ("nnm", "how", "hoc", "hog")
 
 # Text protocol grid: fractions 0.01 to 0.05, step 0.02.
 PAPER_GRID = (0.01, 0.03, 0.05)
@@ -36,16 +34,15 @@ TRANSITION_FR = (0.05, 0.10, 0.20, 0.30)
 TRANSITION_FM = (0.20, 0.35, 0.50, 0.65)
 
 
-def penalty_kind(method: str) -> str:
-    """Penalty kind behind a method name; nnm is soft thresholding."""
+def config_for_method(method: str, shape_ratio: float | None = None,
+                      **overrides) -> SolverConfig:
+    """Solver config for a method name in METHODS: its kind's family, with shape
+    shape_ratio * lam, or the kind's strict bound when shape_ratio is None."""
     if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
-    return SOFT if method == "nnm" else method
-
-
-def config_for_method(method: str, **overrides) -> SolverConfig:
-    """Solver config for a benchmark method name; nnm maps to soft threshold."""
-    return SolverConfig(penalty_kind=penalty_kind(method), **overrides)
+        raise DomainError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
+    kind = METHODS[method]
+    return SolverConfig(family=lambda lam: make_penalty(
+        kind, lam, shape=None if shape_ratio is None else shape_ratio * lam), **overrides)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITERS = 2
 EXIT_SELFTEST = 3
-MAX_CURVE_ROWS = 1e7  # prox-curve rows; 1e7 already write about 1 GB
+MAX_CURVE_ROWS = 1e7  # prox-curve rows (1e7 write about 1 GB), and oracle grid points
+MAX_CURVE_WORK = 1e10  # prox-curve rows x oracle grid points; about 8 ns each
 
 PRESETS = {
     "paper-grid": (bench.PAPER_GRID, bench.PAPER_GRID),
@@ -49,7 +50,7 @@ def _log(msg: str) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=bench.METHODS, default="how",
+    p.add_argument("--method", choices=penalties.METHODS, default="how",
                    help="penalty / solver variant (default: how)")
     p.add_argument("--shape-ratio", type=float, default=None,
                    help="shape parameter over threshold; default is the kind's strict bound")
@@ -65,7 +66,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser, trials: int) -> None:
-    p.add_argument("--methods", default=",".join(bench.METHODS))
+    p.add_argument("--methods", default=",".join(penalties.METHODS))
     p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--m", type=int, default=300)
     p.add_argument("--n", type=int, default=200)
@@ -108,6 +109,8 @@ def _parse_fractions(text: str, flag: str):
 def _method_configs(args) -> dict:
     """{method: solver config} for the comma-separated --methods list."""
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if not methods:
+        raise UsageError(f"--methods: no method named in {args.methods!r}")
     return {m: _solver_config(args, m) for m in methods}
 
 
@@ -186,12 +189,18 @@ def cmd_prox_curve(args) -> int:
         raise UsageError("--step must be positive")
     if args.xmax <= args.xmin:
         raise UsageError("--xmax must exceed --xmin")
-    penalty = penalties.make_penalty(bench.penalty_kind(args.method), args.lam, shape=args.shape)
+    penalty = penalties.make_penalty(penalties.METHODS[args.method], args.lam, shape=args.shape)
     penalties.validate(penalty, strict=False)
     rows = (args.xmax - args.xmin) / args.step
     if not rows < MAX_CURVE_ROWS:
         raise DomainError(f"--step {args.step!r} gives {rows:.3g} rows, over {MAX_CURVE_ROWS:g}")
     count = int(round(rows)) + 1
+    # The regularizer column scans the grid oracle's whole grid once per row.
+    half = max(abs(args.xmin), abs(args.xmax)) + penalties.ORACLE_RANGE_MARGIN * args.lam
+    grid = 2.0 * half / (args.lam / penalties.ORACLE_STEP_DIV)
+    if not (grid < MAX_CURVE_ROWS and count * grid < MAX_CURVE_WORK):
+        raise DomainError(f"--lam {args.lam!r} gives {count} rows x {grid:.3g} oracle grid "
+                          f"points, over {MAX_CURVE_ROWS:g} points or {MAX_CURVE_WORK:g} in all")
     xs = args.xmin + args.step * np.arange(count)
     loss = np.asarray(penalties.loss_eval(penalty, xs))
     prox = np.asarray(penalties.prox_eval(penalty, xs))
@@ -259,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("prox-curve", help="tabulate loss, prox and regularizer curves")
-    p.add_argument("--method", choices=bench.METHODS, default="how")
+    p.add_argument("--method", choices=penalties.METHODS, default="how")
     p.add_argument("--lam", type=float, default=1.0, help="threshold")
     p.add_argument("--shape", type=float, default=None,
                    help="shape parameter value; default is the strict bound times lam")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,10 +36,8 @@ from .errors import (
     NonPositiveParameter,
     ZeroNormInput,
 )
-from .penalties import HOC, HOG, HOW, SOFT, Penalty, make_penalty, validate
+from .penalties import Penalty, how, validate
 from .spectral import Shrinkage, norm_estimate, shrink_singular_values
-
-SOLVER_KINDS = (HOW, HOC, HOG, SOFT)
 
 
 @dataclass
@@ -86,18 +84,19 @@ class SolverConfig:
     unspecified; rho0 = None starts it at the data's scale, rho0 = 1/||P_O X||_2
     as in inexact ALM (Lin, Chen & Ma 2010), with the norm estimated by
     spectral.norm_estimate when the solve starts. A given rho0 is used as is.
+    family maps a threshold lam to its penalty (default: penalties.how at its
+    strict shape); iteration k shrinks with family(1/rho_k). Only family(1)
+    is validated, so a family must scale: shape, or generator argument,
+    proportional to lam, which makes prox_lam(x) = lam * prox_1(x / lam).
     """
 
-    penalty_kind: str = HOW
-    shape_ratio: Optional[float] = None  # shape / lam; None = kind's strict bound
+    family: Callable[[float], Penalty] = how
     rho0: Optional[float] = None  # None = 1 / ||P_O X||_2, resolved by SolverState.initial
     mu: float = 1.05
     xi: float = 1e-7
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.penalty_kind not in SOLVER_KINDS:
-            raise DomainError(f"penalty_kind must be one of {SOLVER_KINDS}, got {self.penalty_kind!r}")
         if self.rho0 is not None and not 0 < self.rho0 < math.inf:
             raise NonPositiveParameter(f"rho0 must be positive and finite, got {self.rho0}")
         if not 1 < self.mu < math.inf:
@@ -106,16 +105,11 @@ class SolverConfig:
             raise NonPositiveParameter(f"xi must be positive and finite, got {self.xi}")
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        # The shape ratio is checked by the same rules as any penalty, at
-        # threshold 1; the ratio is the same at every threshold.
-        validate(self.penalty_at(1.0))
+        validate(self.family(1.0))
 
     def penalty_at(self, rho: float) -> Penalty:
-        """Penalty for the current iteration: threshold 1/rho, shape tied to it
-        (the kind's strict bound times 1/rho unless shape_ratio is given)."""
-        lam = 1.0 / rho
-        shape = None if self.shape_ratio is None else self.shape_ratio * lam
-        return make_penalty(self.penalty_kind, lam, shape=shape)
+        """Penalty for the current iteration: the family's member at 1/rho."""
+        return self.family(1.0 / rho)
 
 
 @dataclass

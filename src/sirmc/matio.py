@@ -93,18 +93,15 @@ def load_observed(matrix_path, mask_path=None) -> ObservedMatrix:
 
     Without a mask, `nan` tokens mark the unobserved positions. With a mask
     file, the coordinates define the observed set, entries outside it are
-    zeroed, and `nan` tokens are only legal outside the mask.
+    zeroed, and `nan` and `inf` tokens are only legal outside the mask.
     """
     values, missing = _parse_matrix(matrix_path)
-    if mask_path is None:
-        mask = ~missing
-    else:
-        mask = _parse_mask(mask_path, values.shape)
-        if np.any(missing & mask):
-            i, j = np.argwhere(missing & mask)[0]
-            raise ParseError(
-                f"{matrix_path}: nan at observed position ({i},{j})"
-            )
+    mask = ~missing if mask_path is None else _parse_mask(mask_path, values.shape)
+    bad = mask & (missing | np.isinf(values))
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        token = "nan" if missing[i, j] else repr(float(values[i, j]))
+        raise ParseError(f"{matrix_path}: {token} at observed position ({i},{j})")
     if not mask.any():
         raise EmptyObservation(f"{matrix_path}: no observed entries")
     return ObservedMatrix(values, mask)

@@ -13,8 +13,12 @@ no closed form; ``implicit_regularizer`` reconstructs it on a grid and
 forms above be certified numerically.
 
 Built-in kinds: plain soft thresholding plus the hybrid quadratic/Welsch
-("how"), quadratic/Cauchy ("hoc") and quadratic/GMC ("hog") losses. New
-penalties are synthesized from any smooth generator h via ``generic``.
+("how"), quadratic/Cauchy ("hoc") and quadratic/GMC ("hog") losses, which
+``METHODS`` alone lists by method name ("nnm" is soft thresholding). New
+penalties are synthesized from any smooth generator h via ``generic``. The
+solver takes a family lam -> Penalty. With the shape, or the generator's
+argument, proportional to lam, prox_lam(x) = lam * prox_1(x / lam), so the
+member at lam = 1 certifies every threshold.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ HOG = "hog"
 GENERIC = "generic"
 
 KINDS = (SOFT, HOW, HOC, HOG, GENERIC)
+
+METHODS = {"nnm": SOFT, "how": HOW, "hoc": HOC, "hog": HOG}  # in table and CLI order
 
 # Largest shape/lam ratio for which the shrinkage amount decays beyond the
 # threshold, i.e. the penalty biases large values less than soft thresholding.
@@ -95,7 +101,7 @@ class Penalty:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
+            raise DomainError(f"unknown penalty kind {self.kind!r}, expected one of {KINDS}")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise NonPositiveParameter(f"lam must be finite and positive, got {self.lam}")
         if self.kind in STRICT_SHAPE_RATIO:
@@ -104,7 +110,7 @@ class Penalty:
                     f"{self.kind} needs a finite and positive shape parameter, got {self.shape}"
                 )
         if self.kind == GENERIC and self.generator is None:
-            raise ValueError("generic penalty needs a generator")
+            raise DomainError("generic penalty needs a generator")
 
 
 def soft_threshold(lam: float) -> Penalty:
@@ -132,16 +138,15 @@ def generic(lam: float, generator: GeneratorFunction) -> Penalty:
 
 def make_penalty(kind: str, lam: float, shape: float | None = None,
                  generator: GeneratorFunction | None = None) -> Penalty:
-    """Factory keyed on kind name; shape falls back to the kind's default,
-    its strict bound times lam. Soft thresholding ignores shape."""
+    """Factory keyed on kind name; shape falls back to the kind's default, its
+    strict bound times lam. Soft ignores shape; Penalty rejects unknown kinds."""
     if kind == SOFT:
         return soft_threshold(lam)
     if kind == GENERIC:
         return generic(lam, generator)
-    if kind in STRICT_SHAPE_RATIO:
-        shape = STRICT_SHAPE_RATIO[kind] * lam if shape is None else shape
-        return Penalty(kind, lam, shape)
-    raise ValueError(f"unknown penalty kind {kind!r}")
+    if kind in STRICT_SHAPE_RATIO and shape is None:
+        shape = STRICT_SHAPE_RATIO[kind] * lam
+    return Penalty(kind, lam, shape)
 
 
 def welsch_generator(sigma: float) -> GeneratorFunction:

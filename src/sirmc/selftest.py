@@ -15,20 +15,18 @@ import numpy as np
 
 from . import penalties as pen
 from .penalties import (
+    METHODS,
     Penalty,
-    hoc,
-    hog,
-    how,
     loss_eval,
+    make_penalty,
     moreau_argmin_oracle,
     prox_eval,
-    soft_threshold,
 )
 from .spectral import SvdTriplet, shrink_singular_values
 
 
 def default_penalties() -> list[Penalty]:
-    return [soft_threshold(1.0), how(1.0), hoc(1.0), hog(1.0)]
+    return [make_penalty(kind, 1.0) for kind in METHODS.values()]
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ class TestPhaseSweep:
         real_solve = bench.solve
 
         def how_fails(X, config):
-            if config.penalty_kind == "how":
+            if config.penalty_at(1.0).kind == "how":
                 raise np.linalg.LinAlgError("forced")
             return real_solve(X, config)
 
@@ -215,7 +215,7 @@ def test_benchmark_tracer_sees_each_sweep_task(monkeypatch):
 
 
 def test_config_for_method_maps_nnm_to_soft():
-    assert bench.config_for_method("nnm").penalty_kind == "soft"
-    assert bench.config_for_method("how").penalty_kind == "how"
+    assert bench.config_for_method("nnm").penalty_at(1.0).kind == "soft"
+    assert bench.config_for_method("how").penalty_at(1.0).kind == "how"
     with pytest.raises(ValueError):
         bench.config_for_method("wnnm")

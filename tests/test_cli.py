@@ -1,5 +1,6 @@
 """End-to-end CLI behavior and exit codes."""
 
+import argparse
 import json
 import pathlib
 import subprocess
@@ -224,6 +225,12 @@ class TestProxCurve:
         (["--xmin=-1e308", "--xmax=1e308"], "--step 0.01 gives inf rows, over 1e+07"),
         (["--method", "hoc", "--shape", "nan"],
          "hoc needs a finite and positive shape parameter, got nan"),
+        (["--lam", "1e-12"], "--lam 1e-12 gives 601 rows x 1.2e+15 oracle grid points, "
+                             "over 1e+07 points or 1e+10 in all"),
+        (["--lam", "1e-4", "--step", "1"], "--lam 0.0001 gives 7 rows x 1.2e+07 oracle "
+                                           "grid points, over 1e+07 points or 1e+10 in all"),
+        (["--lam", "0.01", "--step", "1e-5"], "--lam 0.01 gives 600001 rows x 1.24e+05 oracle "
+                                              "grid points, over 1e+07 points or 1e+10 in all"),
     ])
     def test_bad_range_is_one_error_line(self, tmp_path, flags, message):
         proc = subprocess.run(
@@ -318,6 +325,30 @@ class TestParsing:
         code = main(["sweep", "--preset", "paper-grid", "--trials", "1",
                      "--methods", "wnnm", "--out", str(tmp_path / "g.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_empty_methods_is_a_usage_error(self, tmp_path, capsys, methods):
+        code = main(["sweep", "--preset", "paper-grid", "--trials", "1",
+                     "--methods", methods, "--out", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: --methods: no method named in {methods!r}"]
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_method_names_come_from_one_table(self):
+        import sirmc
+        from sirmc import bench, penalties, selftest
+
+        assert bench.METHODS is penalties.METHODS and sirmc.METHODS is penalties.METHODS
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("complete", "sweep", "bench", "prox-curve"):
+            [method] = [a for a in sub.choices[command]._actions if a.dest == "method"]
+            assert method.choices is penalties.METHODS
+        for command in ("sweep", "bench"):
+            assert sub.choices[command].get_default("methods") == ",".join(penalties.METHODS)
+        assert ([p.kind for p in selftest.default_penalties()]
+                == list(penalties.METHODS.values()))
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -15,13 +15,19 @@ from sirmc import (
     SolverConfig,
     SolverState,
     augmented_lagrangian,
+    cauchy_generator,
     convergence_diagnostics,
     gen_synthetic,
+    generic,
+    gmc_generator,
+    how,
     implicit_regularizer,
     rmse,
     shrink_singular_values,
+    soft_threshold,
     solve,
     SyntheticSpec,
+    welsch_generator,
 )
 from sirmc import bench, completion, spectral
 from sirmc.completion import update_e, update_m, update_multiplier_and_rho
@@ -95,13 +101,13 @@ class TestSolverConfig:
                         "nan": (math.nan, NonPositiveParameter),
                         "over_bound": (1.01 * bound, BiasConstraintViolated)}[case]
         with pytest.raises(error) as caught:
-            SolverConfig(penalty_kind=kind, shape_ratio=ratio)
+            bench.config_for_method(kind, shape_ratio=ratio)
         assert type(caught.value) is error
-        SolverConfig(penalty_kind=kind, shape_ratio=bound)
-        SolverConfig(penalty_kind=kind, shape_ratio=0.8 * bound)
+        bench.config_for_method(kind, shape_ratio=bound)
+        bench.config_for_method(kind, shape_ratio=0.8 * bound)
 
     def test_penalty_at_couples_shape_to_threshold(self):
-        cfg = SolverConfig(penalty_kind="how")
+        cfg = SolverConfig(family=how)
         p = cfg.penalty_at(rho=4.0)
         assert p.lam == 0.25
         assert p.shape == pytest.approx(math.sqrt(2.0) * 0.25, rel=1e-14)
@@ -111,7 +117,7 @@ class TestUpdateM:
     def test_first_iteration_shrinks_data(self):
         rng = np.random.Generator(np.random.Philox(3))
         X = _full(rng.standard_normal((6, 5)) * 50.0)
-        cfg = SolverConfig(penalty_kind="how", rho0=1.0)
+        cfg = SolverConfig(family=how, rho0=1.0)
         state = SolverState.initial(X, cfg)
         out = update_m(state, X, cfg, _omega(X)).M
         assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty_at(1.0)),
@@ -119,13 +125,13 @@ class TestUpdateM:
 
     def test_subthreshold_data_maps_to_zero(self):
         X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
-        cfg = SolverConfig(penalty_kind="how", rho0=1e-2)
+        cfg = SolverConfig(family=how, rho0=1e-2)
         state = SolverState.initial(X, cfg)
         assert np.array_equal(update_m(state, X, cfg, _omega(X)).M, np.zeros((2, 2)))
 
     def test_two_by_two_diagonal_case(self):
         X = _full(np.array([[3.0, 0.0], [0.0, 0.5]]))
-        cfg = SolverConfig(penalty_kind="how", rho0=1.0)
+        cfg = SolverConfig(family=how, rho0=1.0)
         state = SolverState.initial(X, cfg)
         out = update_m(state, X, cfg, _omega(X)).M
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
@@ -137,7 +143,7 @@ class TestUpdateM:
         rng = np.random.Generator(np.random.Philox(17))
         mask = np.array([[True, True, False], [True, False, True], [True, True, True]])
         X = ObservedMatrix(rng.standard_normal((3, 3)) * 2.0, mask)
-        cfg = SolverConfig(penalty_kind="how", rho0=1.0)
+        cfg = SolverConfig(family=how, rho0=1.0)
         state = SolverState.initial(X, cfg)
         state.M = rng.standard_normal((3, 3))
         Lam = np.where(mask, rng.standard_normal((3, 3)) * 0.1, 0.0)
@@ -231,7 +237,7 @@ class TestSolve:
     def test_fully_observed_converges_to_data(self):
         rng = np.random.Generator(np.random.Philox(5))
         X = _full(rng.standard_normal((20, 15)) * 3.0)
-        M, trace = solve(X, SolverConfig(penalty_kind="soft"))
+        M, trace = solve(X, SolverConfig(family=soft_threshold))
         assert trace.rel_e[-1] <= 1e-7
         assert not trace.max_iters_reached
         assert np.linalg.norm(X.values - M) / np.linalg.norm(X.values) <= 1e-6
@@ -239,7 +245,7 @@ class TestSolve:
     def test_e_stays_zero_on_observed_set(self):
         spec = SyntheticSpec(m=20, n=15, f_r=0.1, f_m=0.3, seed=9)
         _, X_obs = gen_synthetic(spec)
-        cfg = SolverConfig(penalty_kind="how", max_iters=40)
+        cfg = SolverConfig(family=how, max_iters=40)
         state = SolverState.initial(X_obs, cfg)
         off, omega = ~X_obs.mask, _omega(X_obs)
         for _ in range(10):
@@ -256,7 +262,7 @@ class TestSolve:
     def test_rho_schedule_is_exact_geometric(self):
         spec = SyntheticSpec(m=10, n=8, f_r=0.2, f_m=0.2, seed=1)
         _, X_obs = gen_synthetic(spec)
-        cfg = SolverConfig(penalty_kind="soft", max_iters=30, xi=1e-30)
+        cfg = SolverConfig(family=soft_threshold, max_iters=30, xi=1e-30)
         _, trace = solve(X_obs, cfg)
         expected = SolverState.initial(X_obs, cfg).rho
         for rho_k in trace.rho:
@@ -266,7 +272,7 @@ class TestSolve:
     def test_nnm_first_iteration_is_svt(self):
         rng = np.random.Generator(np.random.Philox(8))
         X = _full(rng.standard_normal((8, 6)) * 4.0)
-        cfg = SolverConfig(penalty_kind="soft", rho0=1.0, max_iters=1, xi=1e-30)
+        cfg = SolverConfig(family=soft_threshold, rho0=1.0, max_iters=1, xi=1e-30)
         M, trace = solve(X, cfg)
         U, s, Vh = np.linalg.svd(X.values, full_matrices=False)
         svt = U @ np.diag(np.maximum(s - 1.0, 0.0)) @ Vh
@@ -289,7 +295,7 @@ class TestSolve:
         # roundoff floor keeps the loop from stopping first.
         rng = np.random.Generator(np.random.Philox(4))
         X = _full(rng.standard_normal((4, 4)) * 2.0)
-        cfg = SolverConfig(penalty_kind="soft", rho0=1e-5, mu=1e200,
+        cfg = SolverConfig(family=soft_threshold, rho0=1e-5, mu=1e200,
                            xi=1e-320, max_iters=10)
         with pytest.raises(NonFiniteIterate):
             solve(X, cfg)
@@ -299,7 +305,7 @@ class TestSolve:
         spec = SyntheticSpec(m=300, n=200, f_r=1.0 / 200, f_m=0.3, seed=77)
         X_full, X_obs = gen_synthetic(spec)
         assert spec.rank == 1
-        M, trace = solve(X_obs, SolverConfig(penalty_kind="how"))
+        M, trace = solve(X_obs, SolverConfig(family=how))
         assert rmse(X_full, M) < 1e-3
         report = convergence_diagnostics(trace)
         assert trace.delta_m[-1] < 1e-6 * trace.norm_x
@@ -308,7 +314,7 @@ class TestSolve:
 class TestAugmentedLagrangian:
     def test_initial_state_value(self):
         X = _full(np.array([[1.0, 2.0], [0.5, -1.0]]))
-        cfg = SolverConfig(penalty_kind="how", rho0=1.0)
+        cfg = SolverConfig(family=how, rho0=1.0)
         state = SolverState.initial(X, cfg)
         expected = 0.5 * np.sum(X.values ** 2)
         assert augmented_lagrangian(state, X, cfg) == pytest.approx(expected, rel=1e-12)
@@ -317,7 +323,7 @@ class TestAugmentedLagrangian:
         mask = np.array([[True, False], [True, True]])
         X = ObservedMatrix(np.array([[2.0, 0.0], [1.0, 0.5]]), mask)
         M = np.array([[2.0, 0.7], [1.0, 0.5]])
-        cfg = SolverConfig(penalty_kind="how", rho0=1.0)
+        cfg = SolverConfig(family=how, rho0=1.0)
         state = SolverState(M=M, Lambda=np.full(3, 0.4), rho=1.0)
         penalty = cfg.penalty_at(1.0)
         sv = np.linalg.svd(M, compute_uv=False)
@@ -331,7 +337,7 @@ class TestAugmentedLagrangian:
         M = np.diag([2.0, 0.5])
         Lam = np.array([[0.2, 0.0], [0.0, -0.1]])
         rho = 1.0
-        cfg = SolverConfig(penalty_kind="soft", rho0=rho)
+        cfg = SolverConfig(family=soft_threshold, rho0=rho)
         state = SolverState(M=M, Lambda=Lam.ravel(), rho=rho)
         residual = X.values - M  # fully observed, so the implicit E is 0
         by_hand = (2.0 + 0.5) / rho + 0.5 * np.sum(residual ** 2) \
@@ -392,7 +398,7 @@ class TestConvergenceDiagnostics:
     def test_no_false_flag_on_files_instances(self, seed):
         # The benchmark's files workload: 1000x80, rank 2, 30% missing.
         _, X_obs = gen_synthetic(SyntheticSpec(1000, 80, 0.025, 0.3, seed=seed))
-        _, trace = solve(X_obs, SolverConfig(penalty_kind="how"))
+        _, trace = solve(X_obs, SolverConfig(family=how))
         assert convergence_diagnostics(trace).flags == ()
 
     def test_norm_maxima_reported(self):
@@ -435,6 +441,28 @@ def test_solve_matches_dense_reference(method):
     np.testing.assert_allclose(trace.rel_e, rel_e_ref, rtol=1e-15, atol=0.0)
 
 
+# Each closed form's generated twin: the framework's generic penalty from
+# the generator the closed form splices, at the same shape / lam.
+GENERATOR_TWINS = {
+    "how": lambda lam: generic(lam, welsch_generator(math.sqrt(2.0) * lam)),
+    "hoc": lambda lam: generic(lam, cauchy_generator(lam)),
+    "hog": lambda lam: generic(lam, gmc_generator(math.sqrt(3.0) / 2.0 * lam)),
+}
+
+
+@pytest.mark.parametrize("method", ["how", "hoc", "hog"])
+def test_generator_twin_solves_like_its_closed_form(method):
+    # A generated family solves through the same config as a built-in one,
+    # and referees its closed form over a whole protocol solve.
+    _, X_obs = _protocol_instance()
+    M, trace = solve(X_obs, bench.config_for_method(method))
+    twin = SolverConfig(family=GENERATOR_TWINS[method])
+    assert twin.penalty_at(2.0).kind == "generic"
+    M_twin, trace_twin = solve(X_obs, twin)
+    assert trace_twin.iters == trace.iters
+    assert np.max(np.abs(M_twin - M)) <= 1e-9 * np.max(np.abs(M))
+
+
 def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
     # The benchmark's tracer patches the module attributes that solve looks
     # up at call time; renaming or inlining a step would break traced runs.
@@ -445,7 +473,7 @@ def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        _, trace = completion.solve(X_obs, SolverConfig(penalty_kind="how", mu=1.3))
+        _, trace = completion.solve(X_obs, SolverConfig(family=how, mu=1.3))
     finally:
         tracer.uninstall()
     counts = Counter(span[2] for span in tracer.spans)
@@ -593,7 +621,7 @@ def test_zero_filled_input_flag_on_early_convergence():
     # A rank-1 matrix under a first threshold far below its norm: the second
     # iteration returns it exactly, without any shrink keeping every value.
     X = _full(np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
-    _, trace = solve(X, SolverConfig(penalty_kind="soft", rho0=1e3))
+    _, trace = solve(X, SolverConfig(family=soft_threshold, rho0=1e3))
     assert trace.iters <= completion.EARLY_ITERS and not trace.max_iters_reached
     assert max(trace.kept_rank) < min(X.shape)
     assert "zero_filled_input" in convergence_diagnostics(trace).flags

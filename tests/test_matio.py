@@ -88,6 +88,22 @@ class TestMaskFile:
         X = load_observed(m, k)
         assert X.values[0, 0] == 0.0
 
+    @pytest.mark.parametrize("body, mask, where", [
+        ("1,inf\n3,4\n", None, "inf at observed position (0,1)"),
+        ("1,2\n-inf,4\n", "1,0\n", "-inf at observed position (1,0)"),
+    ])
+    def test_inf_at_observed_position_located(self, tmp_path, body, mask, where):
+        m = _write(tmp_path / "m.csv", body)
+        k = None if mask is None else _write(tmp_path / "k.csv", mask)
+        with pytest.raises(ParseError) as caught:
+            load_observed(m, k)
+        assert str(caught.value) == f"{m}: {where}"
+
+    def test_inf_outside_mask_ok(self, tmp_path):
+        m = _write(tmp_path / "m.csv", "inf,2\n3,4\n")
+        k = _write(tmp_path / "k.csv", "0,1\n1,0\n1,1\n")
+        assert load_observed(m, k).values[0, 0] == 0.0
+
     def test_bad_pair(self, tmp_path):
         m = _write(tmp_path / "m.csv", "1,2\n")
         k = _write(tmp_path / "k.csv", "0,0,0\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sirmc import (
     GeneratorFunction,
+    Penalty,
     bias,
     cauchy_generator,
     continuity_constants,
@@ -18,6 +19,7 @@ from sirmc import (
     hog,
     how,
     loss_eval,
+    make_penalty,
     prox_eval,
     soft_threshold,
     validate,
@@ -52,6 +54,13 @@ class TestValidate:
     def test_nonpositive_shape(self):
         with pytest.raises(NonPositiveParameter):
             how(1.0, -2.0)
+
+    @pytest.mark.parametrize("build", [lambda: Penalty("bogus", 1.0),
+                                       lambda: Penalty("generic", 1.0),
+                                       lambda: make_penalty("bogus", 1.0)])
+    def test_unknown_kind_is_a_typed_error(self, build):
+        with pytest.raises(DomainError):
+            build()
 
 
 class TestContinuityConstants:
