@@ -20,7 +20,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import bench, blas, matio, penalties, selftest
+from . import bench, blas, matio, penalties
 from .completion import SolverConfig, convergence_diagnostics, solve
 from .errors import DomainError, SirmcError, UsageError
 
@@ -215,6 +215,7 @@ def cmd_prox_curve(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # imported here, so other commands skip its load
     prox = None
     if args.inject_prox_bias is not None:
         offset = args.inject_prox_bias

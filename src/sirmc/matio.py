@@ -2,13 +2,16 @@
 
 Matrix files are dense CSV, one row per line; the token `nan` (any case)
 marks a missing entry when loading without a mask file. Mask files list
-observed positions as 0-based `i,j` pairs, one per line. Values are written
-with 17 significant digits so save/load round-trips exactly.
+observed positions as 0-based `i,j` pairs, one per line. Files are UTF-8,
+a leading byte-order mark allowed. Values are written with 17 significant
+digits so save/load round-trips exactly.
+
+Parsing converts `BLOCK_TOKENS` tokens per numpy call, which applies Python's
+`float()` or `int()` to each. A file that path does not take whole goes to
+the per-token loop, the referee that alone raises the located errors.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -21,17 +24,30 @@ from .errors import (
     ParseError,
 )
 
+BLOCK_TOKENS = 8192  # tokens per numpy call when parsing or writing; bounds the temporaries
+
 
 def _read_lines(path) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise IoError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _bulk(lines, width, dtype):
+    """The lines' tokens as a len(lines) x width array, else ValueError or OverflowError."""
+    if any(line.count(",") != width - 1 for line in lines):
+        raise ValueError("ragged lines")
+    step = max(1, BLOCK_TOKENS // width)
+    return np.concatenate([np.array(",".join(lines[s:s + step]).split(","), dtype=dtype)
+                           for s in range(0, len(lines), step)]).reshape(-1, width)
 
 
 def _parse_matrix(path):
@@ -39,7 +55,17 @@ def _parse_matrix(path):
     lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
-    rows, missing_rows = [], []
+    try:
+        values = _bulk(lines, lines[0].count(",") + 1, float)
+    except (ValueError, OverflowError):
+        values = _loop_matrix(path, lines)
+    missing = np.isnan(values)
+    values[missing] = 0.0
+    return values, missing
+
+
+def _loop_matrix(path, lines) -> np.ndarray:
+    rows = []
     width = None
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
@@ -51,21 +77,31 @@ def _parse_matrix(path):
             raise ParseError(
                 f"{path}:{lineno}: row has {len(tokens)} columns, expected {width}"
             )
-        row, miss = [], []
+        row = []
         for col, tok in enumerate(tokens, start=1):
             try:
-                val = float(tok)  # parses `nan` in any case, and blanks around a token
+                row.append(float(tok))  # parses `nan` in any case, and blanks around a token
             except ValueError:
                 raise ParseError(f"{path}:{lineno}:{col}: bad number {tok.strip()!r}") from None
-            miss.append(math.isnan(val))
-            row.append(0.0 if miss[-1] else val)
         rows.append(row)
-        missing_rows.append(miss)
-    return np.array(rows, dtype=float), np.array(missing_rows, dtype=bool)
+    return np.array(rows, dtype=float)
 
 
 def _parse_mask(path, shape) -> np.ndarray:
     lines = _read_lines(path)
+    mask = np.zeros(shape, dtype=bool)
+    try:
+        ij = _bulk(lines, 2, np.int64)
+        if np.all((ij >= 0) & (ij < shape)):
+            mask[ij[:, 0], ij[:, 1]] = True
+    except (ValueError, OverflowError):
+        pass  # the mask stays empty, so the loop decides
+    if np.count_nonzero(mask) == len(lines):  # fewer after a duplicate or a failed bulk parse
+        return mask
+    return _loop_mask(path, lines, shape)
+
+
+def _loop_mask(path, lines, shape) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     m, n = shape
     for lineno, line in enumerate(lines, start=1):
@@ -112,10 +148,10 @@ def save_matrix(matrix, path) -> None:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {matrix.shape}")
+    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for row in matrix:
-                f.write(",".join(f"{v:.17g}" for v in row))
-                f.write("\n")
+            for block in np.array_split(matrix, -(-matrix.size // BLOCK_TOKENS)):
+                f.write(row * len(block) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoError(f"{path}: {exc}") from exc

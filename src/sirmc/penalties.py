@@ -111,6 +111,9 @@ class Penalty:
                 )
         if self.kind == GENERIC and self.generator is None:
             raise DomainError("generic penalty needs a generator")
+        q = self.lam * self.lam + 4.0 * (self.shape or 0.0) * (self.shape or 0.0)
+        if not math.isfinite(q * q):  # hog's loss forms (lam^2 + 4 shape^2)^2
+            raise DomainError(f"lam {self.lam} and shape {self.shape} overflow the loss")
 
 
 def soft_threshold(lam: float) -> Penalty:

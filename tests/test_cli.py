@@ -225,6 +225,7 @@ class TestProxCurve:
         (["--xmin=-1e308", "--xmax=1e308"], "--step 0.01 gives inf rows, over 1e+07"),
         (["--method", "hoc", "--shape", "nan"],
          "hoc needs a finite and positive shape parameter, got nan"),
+        (["--lam", "1e200"], "lam 1e+200 and shape 1.414213562373095e+200 overflow the loss"),
         (["--lam", "1e-12"], "--lam 1e-12 gives 601 rows x 1.2e+15 oracle grid points, "
                              "over 1e+07 points or 1e+10 in all"),
         (["--lam", "1e-4", "--step", "1"], "--lam 0.0001 gives 7 rows x 1.2e+07 oracle "
@@ -349,6 +350,10 @@ class TestParsing:
             assert sub.choices[command].get_default("methods") == ",".join(penalties.METHODS)
         assert ([p.kind for p in selftest.default_penalties()]
                 == list(penalties.METHODS.values()))
+
+    def test_selftest_module_loads_only_for_selftest(self):
+        code = "import sys, sirmc.cli; sys.exit('sirmc.selftest' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -62,6 +62,15 @@ class TestValidate:
         with pytest.raises(DomainError):
             build()
 
+    @pytest.mark.parametrize("build", [lambda: how(1e200), lambda: hoc(1e200),
+                                       lambda: hog(1e100), lambda: soft_threshold(1e200),
+                                       lambda: how(1.0, 1e200)])
+    def test_overflowing_parameters_are_a_typed_error(self, build):
+        # hog's loss squares lam^2 + 4 shape^2, the largest power any closed form takes
+        with pytest.raises(DomainError, match="overflow the loss"):
+            build()
+        hog(1e76)  # just below the bound
+
 
 class TestContinuityConstants:
     def test_cauchy_matches_hand_solution(self):
