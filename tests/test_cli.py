@@ -225,13 +225,13 @@ class TestProxCurve:
         (["--xmin=-1e308", "--xmax=1e308"], "--step 0.01 gives inf rows, over 1e+07"),
         (["--method", "hoc", "--shape", "nan"],
          "hoc needs a finite and positive shape parameter, got nan"),
-        (["--lam", "1e200"], "lam 1e+200 and shape 1.414213562373095e+200 overflow the loss"),
         (["--lam", "1e-12"], "--lam 1e-12 gives 601 rows x 1.2e+15 oracle grid points, "
                              "over 1e+07 points or 1e+10 in all"),
         (["--lam", "1e-4", "--step", "1"], "--lam 0.0001 gives 7 rows x 1.2e+07 oracle "
                                            "grid points, over 1e+07 points or 1e+10 in all"),
         (["--lam", "0.01", "--step", "1e-5"], "--lam 0.01 gives 600001 rows x 1.24e+05 oracle "
                                               "grid points, over 1e+07 points or 1e+10 in all"),
+        (["--lam", "1e200"], "lam 1e+200 and shape 1.414213562373095e+200 overflow the loss"),
     ])
     def test_bad_range_is_one_error_line(self, tmp_path, flags, message):
         proc = subprocess.run(
