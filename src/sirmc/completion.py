@@ -153,8 +153,9 @@ class IterTrace:
     the observed-set residual that the implicit E leaves (feas is its
     numerator); the iterate norms are kept for boundedness diagnostics and
     are not part of the CSV schema. kept_rank is the number of singular
-    values above the threshold 1/rho; dense_svd and gram_svd say whether the
-    shrink ran the LAPACK SVD or the Gram route (neither: the truncated one).
+    values above the threshold 1/rho, and route the SvdTriplet route each
+    shrink took ("truncated", "gram" or "dense"); the CSV writes it as two
+    0/1 columns, dense_svd and gram_svd, so the file stays all-numeric.
     """
 
     rel_e: list = field(default_factory=list)
@@ -165,8 +166,7 @@ class IterTrace:
     norm_m: list = field(default_factory=list)
     norm_lambda: list = field(default_factory=list)
     kept_rank: list = field(default_factory=list)
-    dense_svd: list = field(default_factory=list)
-    gram_svd: list = field(default_factory=list)
+    route: list = field(default_factory=list)
     norm_x: float = 0.0
     max_iters_reached: bool = False
     full_rank: int = 0  # min(m, n), the rank of a shrink that keeps every value
@@ -183,7 +183,8 @@ class IterTrace:
                 f.write(
                     f"{k + 1},{self.rel_e[k]!r},{self.delta_m[k]!r},"
                     f"{self.feas[k]!r},{self.rho[k]!r},{self.wall_time[k]!r},"
-                    f"{self.kept_rank[k]},{int(self.dense_svd[k])},{int(self.gram_svd[k])}\n"
+                    f"{self.kept_rank[k]},{int(self.route[k] == 'dense')},"
+                    f"{int(self.route[k] == 'gram')}\n"
                 )
 
 
@@ -266,8 +267,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
             trace.norm_m.append(shrunk.norm())
             trace.norm_lambda.append(float(np.linalg.norm(state.Lambda)))
             trace.kept_rank.append(shrunk.rank)
-            trace.dense_svd.append(shrunk.route == "dense")
-            trace.gram_svd.append(shrunk.route == "gram")
+            trace.route.append(shrunk.route)
 
             if rel_e <= config.xi:
                 break

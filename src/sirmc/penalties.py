@@ -323,7 +323,8 @@ def loss_eval(penalty: Penalty, x):
     elif penalty.kind == HOG:
         t2 = 4.0 * penalty.shape ** 2
         c = (lam * lam + t2) ** 2
-        tail = c * np.square(ax) / (2.0 * t2 * (np.square(ax) + t2)) - lam ** 4 / (2.0 * t2)
+        x2 = np.square(ax)
+        tail = c / (2.0 * t2) * (x2 / (x2 + t2)) - lam ** 4 / (2.0 * t2)  # no c * x^2 overflow
     else:
         cc = continuity_constants(penalty.generator, penalty.lam)
         tail = cc.a * np.asarray(penalty.generator.h(np.maximum(ax, lam)), dtype=float) + cc.b

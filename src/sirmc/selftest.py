@@ -161,10 +161,11 @@ def planted(rng, values, m: int = 200, n: int = 120):
 
 
 # Planted spectra at threshold 1 and the warm-start width each starts from;
-# "wide_warm" starts wider than the truncated block allows (the Gram route).
+# "saturated" has more values above 1 than its block has columns, and
+# "wide_warm" starts wider than the truncated block allows (both: the Gram route).
 TRUNCATION_CASES = {
     "separated": (list(np.linspace(8.0, 1.5, 12)) + [0.1] * 50, 4),
-    "block_doubles": (list(np.linspace(5.0, 2.0, 15)) + list(np.linspace(0.1, 0.01, 80)), 2),
+    "saturated": (list(np.linspace(5.0, 2.0, 15)) + list(np.linspace(0.1, 0.01, 80)), 2),
     "cluster_above": ([1.001] * 40 + list(np.linspace(0.9, 0.1, 60)), 10),
     "at_threshold": ([4.0, 3.0, 2.5, 1.0, 1.0, 1.0] + [0.5] * 30, 3),
     "rank_deficient": ([6.0, 5.0, 4.0, 3.0, 2.0], 0),

@@ -6,11 +6,14 @@ package) this solves the spectral proximal subproblem used by the solver's
 estimate update.
 
 Every penalty's prox is exactly zero on [-lam, lam], so only the singular
-values above the threshold matter. Given a warm start (the right singular
-vectors the previous shrink kept), the shrinkage computes just those with a
-certified randomized subspace iteration (Halko, Martinsson & Tropp 2011)
-while its block stays narrow, else from a certified eigendecomposition of
-D^T D or D D^T, and runs the dense SVD when both fail or without a warm start.
+values above the threshold matter. Without a warm start the shrinkage runs
+the dense SVD. Given one (the right singular vectors the previous shrink
+kept, k columns) it chooses its route once, in `SvdTriplet.of`, in this
+order: ||D||_F <= lam proves that nothing survives (empty result); a
+certified randomized subspace iteration (Halko, Martinsson & Tropp 2011) on
+one block of k + OVERSAMPLE columns, while that is at most
+min(m, n) // BLOCK_DIVISOR; a certified eigendecomposition of D^T D or
+D D^T, while that bound is at least OVERSAMPLE; the dense SVD last.
 """
 
 from __future__ import annotations
@@ -44,22 +47,25 @@ class SvdTriplet:
     V: np.ndarray
     route: str = "dense"
 
-    @property
-    def dense(self) -> bool:
-        """Whether the LAPACK SVD ran."""
-        return self.route == "dense"
-
     @classmethod
     def of(cls, D: np.ndarray, above: float | None = None,
            start: np.ndarray | None = None) -> "SvdTriplet":
         """Dense thin SVD of D; with a threshold `above` and a warm start (n x k,
-        orthonormal columns), the truncated SVD, else the Gram route, if one certifies."""
+        orthonormal columns), the first route that applies and certifies:
+        the empty triplet when ||D||_F <= above (route "truncated"), the
+        truncated SVD when k + OVERSAMPLE <= min(m, n) // BLOCK_DIVISOR, the
+        Gram route when that bound is at least OVERSAMPLE, else LAPACK."""
         try:
             if start is not None:
-                found = _truncated_svd(D, above, start)
-                if found is not None:
-                    return cls(*found, route="truncated")
-                if min(D.shape) // BLOCK_DIVISOR >= OVERSAMPLE:
+                m, n = D.shape
+                if np.linalg.norm(D) <= above:
+                    return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), route="truncated")
+                limit = min(m, n) // BLOCK_DIVISOR
+                if start.shape[1] + OVERSAMPLE <= limit:
+                    found = _truncated_svd(D, above, start)
+                    if found is not None:
+                        return cls(*found, route="truncated")
+                if limit >= OVERSAMPLE:
                     found = _gram_svd(D, above)
                     if found is not None:
                         return cls(*found, route="gram")
@@ -71,72 +77,59 @@ class SvdTriplet:
 
 def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
     """(U, S, V) holding exactly the singular triplets of D with S > lam, or
-    None when another route should run instead.
+    None when the Gram route should run instead.
 
-    ||D||_F <= lam proves that no value exceeds lam (empty result). Else a
-    block of `start` plus OVERSAMPLE fill columns from a fixed Philox stream
-    goes through randomized subspace iteration, each step's Ritz vectors
-    starting the next, for at most POWER_STEPS power steps. A step's kept
-    triplets (Ritz values above lam) are returned once
+    A block of `start` plus OVERSAMPLE fill columns from a fixed Philox
+    stream goes through randomized subspace iteration, each step's Ritz
+    vectors starting the next, for at most POWER_STEPS power steps. A step's
+    kept triplets (Ritz values above lam) are returned once
 
     - settled: since the previous step, the number of Ritz values above lam
       is unchanged and each of them moved by at most SETTLE_TOL * s_1, and
       the largest dropped Ritz value lies below lam by more than
       DROP_MARGIN times its rise;
     - not saturated: the block's smallest Ritz value is at most lam (else
-      the block doubles and iterates again);
+      the block is too narrow, and the call gives up at once);
     - certified: every kept triplet has max(||D v - u s||, ||D^T u - v s||)
       <= RESIDUAL_TOL * s_1, so a singular value of D lies that close to
       each kept value, and neither a kept value nor the largest dropped
       one lies that close to lam.
 
     These are a posteriori tests, not a proof that no value above lam lies
-    outside the block. A block wider than min(m, n) / BLOCK_DIVISOR, where
-    the power steps cost about as much as the Gram route, gives up, and so
-    does a block whose residuals, shrinking at their last observed rate,
-    would not reach the tolerance within the steps left. The step budget
-    lets a cold or thin start (the first shrinks of a solve) certify: a
-    step of a narrow block costs a small fraction of the dense SVD.
+    outside the block. A block whose residuals, shrinking at their last
+    observed rate, would not reach the tolerance within the steps left gives
+    up too. The step budget lets a cold or thin start (the first shrinks of
+    a solve) certify: a step of a narrow block costs a small fraction of the
+    dense SVD.
     """
-    m, n = D.shape
-    if np.linalg.norm(D) <= lam:
-        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-    limit = min(m, n) // BLOCK_DIVISOR
-    fill = Generator(Philox(FILL_SEED))
-    V = start
-    width = start.shape[1] + OVERSAMPLE
-    while width <= limit:
-        V = np.hstack([V, fill.standard_normal((n, width - V.shape[1]))])
-        Y = D @ V
-        prev = prev_res = None
-        for step in range(POWER_STEPS + 1):
-            # Rayleigh-Ritz on the range of Y = D @ V.
-            Q, _ = np.linalg.qr(Y)
-            W, s, Vh = np.linalg.svd(Q.T @ D, full_matrices=False)
-            U, V = Q @ W, Vh.T
-            kept = int(np.count_nonzero(s > lam))
-            if kept == width:
-                break
-            Y = D @ V  # the next step's product; gives this step's residuals
-            tol = RESIDUAL_TOL * s[0]
-            res = float(np.max(np.linalg.norm(Y[:, :kept] - U[:, :kept] * s[:kept], axis=0),
-                               initial=0.0))
-            if (prev is not None and prev.size == kept + 1
-                    and np.all(np.abs(s[:kept] - prev[:kept]) <= SETTLE_TOL * s[0])
-                    and lam - s[kept] > DROP_MARGIN * max(s[kept] - prev[kept], 0.0)
-                    and res <= tol and np.all(np.abs(s[:kept + 1] - lam) > tol)):
-                U, s, V = U[:, :kept], s[:kept], V[:, :kept]
-                if np.all(np.linalg.norm(D.T @ U - V * s, axis=0) <= tol):
-                    return U, s, V
-                return None
-            # No rate to judge from a step that kept nothing (prev_res 0).
-            if prev_res and res > tol and (
-                    res >= prev_res or res * (res / prev_res) ** (POWER_STEPS - step) > tol):
-                return None  # the residuals shrink too slowly to certify in time
-            prev, prev_res = s[:kept + 1], res
-        else:
+    fill = Generator(Philox(FILL_SEED)).standard_normal((D.shape[1], OVERSAMPLE))
+    Y = D @ np.hstack([start, fill])
+    prev = prev_res = None
+    for step in range(POWER_STEPS + 1):
+        # Rayleigh-Ritz on the range of Y = D @ V.
+        Q, _ = np.linalg.qr(Y)
+        W, s, Vh = np.linalg.svd(Q.T @ D, full_matrices=False)
+        U, V = Q @ W, Vh.T
+        kept = int(np.count_nonzero(s > lam))
+        if kept == s.size:
+            return None  # saturated
+        Y = D @ V  # the next step's product; gives this step's residuals
+        tol = RESIDUAL_TOL * s[0]
+        res = float(np.max(np.linalg.norm(Y[:, :kept] - U[:, :kept] * s[:kept], axis=0),
+                           initial=0.0))
+        if (prev is not None and prev.size == kept + 1
+                and np.all(np.abs(s[:kept] - prev[:kept]) <= SETTLE_TOL * s[0])
+                and lam - s[kept] > DROP_MARGIN * max(s[kept] - prev[kept], 0.0)
+                and res <= tol and np.all(np.abs(s[:kept + 1] - lam) > tol)):
+            U, s, V = U[:, :kept], s[:kept], V[:, :kept]
+            if np.all(np.linalg.norm(D.T @ U - V * s, axis=0) <= tol):
+                return U, s, V
             return None
-        width *= 2
+        # No rate to judge from a step that kept nothing (prev_res 0).
+        if prev_res and res > tol and (
+                res >= prev_res or res * (res / prev_res) ** (POWER_STEPS - step) > tol):
+            return None  # the residuals shrink too slowly to certify in time
+        prev, prev_res = s[:kept + 1], res
     return None
 
 
@@ -162,12 +155,16 @@ def _gram_svd(D: np.ndarray, lam: float):
 
 def norm_estimate(A: np.ndarray) -> float:
     """Estimate of ||A||_2 from NORM_POWER_STEPS power steps on A^T A from a
-    fixed Philox start: a lower bound, homogeneous in A, with no SVD."""
+    fixed Philox start: a lower bound, homogeneous in A, with no SVD. The
+    steps run on A / 2^e with max|A_ij| < 2^e, so squaring the data's scale
+    cannot overflow, nor underflow at a tiny scale; a power of two is exact."""
+    e = int(np.frexp(np.max(np.abs(A)))[1])
+    A = np.ldexp(A, -e)
     v = Generator(Philox(FILL_SEED)).standard_normal(A.shape[1])
     for _ in range(NORM_POWER_STEPS):
         v = A.T @ (A @ v)
         v /= np.linalg.norm(v) or 1.0
-    return float(np.linalg.norm(A @ v))
+    return float(np.ldexp(np.linalg.norm(A @ v), e))
 
 
 @dataclass(frozen=True)
@@ -201,8 +198,8 @@ def shrink_singular_values(D: np.ndarray, penalty: Penalty,
     input with spectral norm <= lam maps to the zero matrix. Without
     `start` this is the dense SVD and returns the matrix. With `start`, the
     right singular vectors of the previous shrink's kept values (n x 0 at
-    first), only the values above lam are computed when that certifies (see
-    `_truncated_svd` and `_gram_svd`), and a `Shrinkage` is returned.
+    first), only the values above lam are computed when a route certifies
+    (see `SvdTriplet.of`), and a `Shrinkage` is returned.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2:

@@ -33,6 +33,7 @@ from sirmc import bench, completion, spectral
 from sirmc.completion import update_e, update_m, update_multiplier_and_rho
 from sirmc.errors import (
     BiasConstraintViolated,
+    DomainError,
     EmptyObservation,
     NonFiniteInput,
     NonFiniteIterate,
@@ -290,6 +291,7 @@ class TestSolve:
         assert trace.max_iters_reached
         assert trace.iters == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rho overflows on purpose
     def test_nonfinite_iterate_aborts(self):
         # Extreme mu overflows rho after two iterations; xi below the SVD
         # roundoff floor keeps the loop from stopping first.
@@ -502,14 +504,14 @@ def test_truncated_shrink_matches_dense_svd_every_iteration(method, monkeypatch)
         kept = svd.S[svd.S > above]
         assert kept.size == np.count_nonzero(s > above)
         assert np.max(np.abs(kept - s[:kept.size]), initial=0.0) <= 1e-10 * s[0]
-        truncated.append(not svd.dense)
+        truncated.append(svd.route != "dense")
         return svd
 
     monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
     _, trace = solve(X_obs, bench.config_for_method(method))
     assert len(truncated) == trace.iters
     assert sum(truncated) >= 0.9 * trace.iters  # the spy saw the fast path
-    assert trace.dense_svd == [not t for t in truncated]
+    assert [route == "dense" for route in trace.route] == [not t for t in truncated]
 
 
 @pytest.mark.parametrize("cell, methods", [
@@ -526,7 +528,8 @@ def test_truncated_solve_matches_dense_solve(cell, methods, monkeypatch):
     for m in methods:
         M_dense, trace_dense = solve(X_obs, bench.config_for_method(m))
         M_fast, trace_fast = fast[m]
-        assert not all(trace_fast.dense_svd) and all(trace_dense.dense_svd)
+        assert (not all(r == "dense" for r in trace_fast.route)
+                and all(r == "dense" for r in trace_dense.route))
         assert trace_fast.iters == trace_dense.iters
         rel_fast, rel_dense = (np.linalg.norm(M - truth) / np.linalg.norm(truth)
                                for M in (M_fast, M_dense))
@@ -546,19 +549,18 @@ def test_trace_records_each_shrinks_route(monkeypatch):
 
     monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
     _, trace = solve(X_obs, bench.config_for_method("how", mu=1.10))
-    assert trace.gram_svd == [svd.route == "gram" for svd in routes]
-    assert trace.dense_svd == [svd.route == "dense" for svd in routes]
-    assert any(trace.gram_svd) and not any(trace.dense_svd)
+    assert trace.route == [svd.route for svd in routes]
+    assert "gram" in trace.route and "dense" not in trace.route
 
 
 def test_trace_norm_m_is_read_from_the_shrunk_values():
     _, X_obs = _protocol_instance()
     M, trace = solve(X_obs, bench.config_for_method("how", max_iters=60, xi=1e-30))
-    assert not trace.dense_svd[-1]
+    assert trace.route[-1] != "dense"
     assert abs(trace.norm_m[-1] - np.linalg.norm(M)) <= 1e-12 * np.linalg.norm(M)
     _, small = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
     M, trace = solve(small, bench.config_for_method("how", max_iters=60, xi=1e-30))
-    assert trace.dense_svd[-1]
+    assert trace.route[-1] == "dense"
     assert abs(trace.norm_m[-1] - np.linalg.norm(M)) <= 1e-12 * np.linalg.norm(M)
 
 
@@ -582,13 +584,26 @@ class TestDefaultRho0:
         with pytest.raises(ZeroNormInput):
             SolverState.initial(X, SolverConfig())
 
+    def test_huge_data_keeps_its_scale(self):
+        # The norm estimate squares the data's scale; at 1e75 the solve must
+        # still recover as at 1, and at 1e76 the first penalty's own bound,
+        # not a false zero norm, stops it.
+        _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
+        M, trace = solve(X_obs, SolverConfig())
+        big = ObservedMatrix(X_obs.values * 1e75, X_obs.mask)
+        M_big, trace_big = solve(big, SolverConfig())
+        assert trace_big.iters == trace.iters and not trace_big.max_iters_reached
+        assert np.max(np.abs(M_big - 1e75 * M)) <= 1e-12 * 1e75 * np.max(np.abs(M))
+        with pytest.raises(DomainError, match="overflow the loss"):
+            solve(ObservedMatrix(X_obs.values * 1e76, X_obs.mask), SolverConfig())
+
     def test_first_shrinks_certify_on_the_protocol_cell(self):
         # The first threshold sits among the data's top singular values, and
         # the first shrinks start cold; they must not fall back to the dense SVD.
         _, X_obs = _protocol_instance()
         for method in bench.METHODS:
             _, trace = solve(X_obs, bench.config_for_method(method, max_iters=5))
-            assert not any(trace.dense_svd), method
+            assert "dense" not in trace.route, method
 
 
 @pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])

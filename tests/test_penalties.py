@@ -123,6 +123,14 @@ class TestLossValues:
     def test_hog_at_threshold(self):
         assert loss_eval(hog(1.0), 1.0) == 0.5
 
+    @pytest.mark.parametrize("lam", [1e60, 1e76])
+    def test_hog_tail_stays_finite_for_huge_lam(self, lam):
+        # c * x^2 with c = (lam^2 + 4 tau^2)^2 alone would overflow from lam ~ 1e60;
+        # the loss scales as lam^2 * loss_1(x / lam) at a strict-shape family.
+        value = loss_eval(hog(lam), 10.0 * lam)
+        assert math.isfinite(value)
+        assert value == pytest.approx(lam * lam * loss_eval(hog(1.0), 10.0), rel=1e-12)
+
     def test_soft_loss_is_huber(self):
         p = soft_threshold(1.0)
         assert loss_eval(p, 3.0) == pytest.approx(3.0 - 0.5, rel=1e-14)

@@ -1,11 +1,13 @@
 """Singular-value shrinkage: spectrum contract and unitary invariance."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sirmc import SvdTriplet, how, prox_eval, shrink_singular_values, soft_threshold, spectral
+from sirmc import (SvdTriplet, bench, how, prox_eval, shrink_singular_values, soft_threshold,
+                   solve, spectral)
 from sirmc.errors import NonFiniteInput, SvdFailure
 from sirmc.spectral import norm_estimate
 from sirmc.selftest import TRUNCATION_CASES, planted
@@ -133,14 +135,14 @@ def _matches_dense(D, penalty, start):
 @pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
 def test_truncated_matches_dense_on_planted_spectra(rng, penalty, case):
     # Cases: 40 values at 1.001 lam seen from a 10-column warm start, a
-    # block that must double, values exactly at lam, a rank-deficient input,
+    # block that saturates, values exactly at lam, a rank-deficient input,
     # a warm start wider than the truncated block allows.
     values, width = TRUNCATION_CASES[case]
     D, V = planted(rng, values)
     out = _matches_dense(D, penalty, V[:, :width])
-    if case in ("separated", "block_doubles", "rank_deficient"):
+    if case in ("separated", "rank_deficient"):
         assert out.route == "truncated"  # the fast path ran
-    if case in ("cluster_above", "wide_warm"):
+    if case in ("cluster_above", "saturated", "wide_warm"):
         assert out.route == "gram"
 
 
@@ -174,11 +176,78 @@ def test_truncated_is_deterministic(rng):
 def test_truncated_triplet_invariants(rng):
     D, V = planted(rng, TRUNCATION_CASES["separated"][0])  # 12 values above lam
     t = SvdTriplet.of(D, above=1.0, start=V[:, :12])
-    assert not t.dense and t.S.size == 12
+    assert t.route != "dense" and t.S.size == 12
     assert np.all(np.diff(t.S) <= 0.0) and np.all(t.S > 1.0)
     assert np.max(np.abs(t.U.T @ t.U - np.eye(12))) <= 1e-12
     assert np.max(np.abs(t.V.T @ t.V - np.eye(12))) <= 1e-12
     assert np.max(np.abs(D @ t.V - t.U * t.S)) <= 1e-10 * t.S[0]
+
+
+# The route is chosen once, in SvdTriplet.of.
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's result."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_warm_start_too_wide_to_truncate_goes_to_gram(rng, monkeypatch):
+    # 40 + OVERSAMPLE columns exceed 120 // BLOCK_DIVISOR = 24.
+    values, width = TRUNCATION_CASES["wide_warm"]
+    D, V = planted(rng, values)
+    assert width + spectral.OVERSAMPLE > min(D.shape) // spectral.BLOCK_DIVISOR
+    truncated = _spy(monkeypatch, spectral, "_truncated_svd")
+    out = _matches_dense(D, how(1.0), V[:, :width])
+    assert truncated == [] and out.route == "gram"
+
+
+def test_saturated_block_gives_up_after_one_block(rng, monkeypatch):
+    # 15 values above lam against a 2 + OVERSAMPLE column block: every Ritz
+    # value of the first step lies above lam, so the Gram route takes over.
+    values, width = TRUNCATION_CASES["saturated"]
+    D, V = planted(rng, values)
+    truncated = _spy(monkeypatch, spectral, "_truncated_svd")
+    qr = _spy(monkeypatch, np.linalg, "qr")
+    out = _matches_dense(D, how(1.0), V[:, :width])
+    assert truncated == [None] and len(qr) == 1 and out.route == "gram"
+
+
+def test_small_warm_shrink_takes_no_route_before_lapack(rng, monkeypatch):
+    # At 10 x 8 the block bound is 8 // BLOCK_DIVISOR = 1 < OVERSAMPLE.
+    start = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+    routes = [_spy(monkeypatch, spectral, name) for name in ("_truncated_svd", "_gram_svd")]
+    svd = _spy(monkeypatch, np.linalg, "svd")
+    D = rng.standard_normal((10, 8))
+    D *= 0.9 / np.linalg.norm(D)
+    out = SvdTriplet.of(D, above=1.0, start=start)
+    assert out.route == "truncated" and out.S.size == 0 and out.U.shape == (10, 0)
+    assert svd == [] and routes == [[], []]
+    out = SvdTriplet.of(D * 10.0, above=1.0, start=start)
+    assert out.route == "dense" and len(svd) == 1 and routes == [[], []]
+
+
+def test_trace_route_counts_match_the_shrinks(monkeypatch):
+    # At 150x100, rank 10, 65% missing, the solve takes all three routes;
+    # the trace holds one route per shrink, as SvdTriplet.of returned it.
+    _, X_obs = bench.gen_synthetic(bench.SyntheticSpec(m=150, n=100, f_r=0.1, f_m=0.65, seed=1))
+    of = SvdTriplet.__dict__["of"].__func__
+    routes = Counter()
+
+    def spy(cls, D, above=None, start=None):
+        svd = of(cls, D, above, start)
+        routes[svd.route] += 1
+        return svd
+
+    monkeypatch.setattr(SvdTriplet, "of", classmethod(spy))
+    _, trace = solve(X_obs, bench.config_for_method("how", mu=1.10, max_iters=250))
+    assert Counter(trace.route) == routes
+    assert set(routes) == {"truncated", "gram", "dense"}
 
 
 # The Gram route against np.linalg.svd: kept values above lam = 1 planted
@@ -239,4 +308,8 @@ def test_norm_estimate_is_a_homogeneous_lower_bound(rng):
     assert norm_estimate(A) == est
     for c in (1e-6, 1e6):
         assert abs(norm_estimate(c * A) - c * est) <= 1e-13 * c * est
+    # A^T A squares the scale; at 2^(+-300) that overflows or underflows
+    # unless the steps run on a copy prescaled by an (exact) power of two.
+    for k in (-300, -100, 100, 300):
+        assert norm_estimate(A * 2.0 ** k) == est * 2.0 ** k
     assert norm_estimate(np.zeros((3, 2))) == 0.0
