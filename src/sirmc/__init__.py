@@ -19,7 +19,6 @@ from .completion import (
     ObservedMatrix,
     SolverConfig,
     SolverState,
-    augmented_lagrangian,
     convergence_diagnostics,
     solve,
 )

@@ -133,7 +133,7 @@ def cmd_complete(args) -> int:
          f"({elapsed:.2f}s); wrote {args.out}")
     _log(f"threads: {trace.blas_threads} BLAS on {blas.cpus()} CPUs" if trace.blas_threads
          else "threads: BLAS count not read (no OpenBLAS found)")
-    flags = convergence_diagnostics(trace).flags
+    flags = convergence_diagnostics(trace)
     if flags:
         _log(f"warning: convergence diagnostics: {', '.join(flags)}")
     if trace.max_iters_reached:

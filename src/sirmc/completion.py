@@ -151,11 +151,10 @@ class IterTrace:
 
     rel_e is ||P_O(X - M)||_F / ||P_O X||_F after the iteration's updates,
     the observed-set residual that the implicit E leaves (feas is its
-    numerator); the iterate norms are kept for boundedness diagnostics and
-    are not part of the CSV schema. kept_rank is the number of singular
-    values above the threshold 1/rho, and route the SvdTriplet route each
-    shrink took ("truncated", "gram" or "dense"); the CSV writes it as two
-    0/1 columns, dense_svd and gram_svd, so the file stays all-numeric.
+    numerator). kept_rank is the number of singular values above the
+    threshold 1/rho, and route the SvdTriplet route each shrink took
+    ("truncated", "gram" or "dense"); the CSV writes it as two 0/1 columns,
+    dense_svd and gram_svd, so the file stays all-numeric.
     """
 
     rel_e: list = field(default_factory=list)
@@ -163,8 +162,6 @@ class IterTrace:
     feas: list = field(default_factory=list)
     rho: list = field(default_factory=list)
     wall_time: list = field(default_factory=list)
-    norm_m: list = field(default_factory=list)
-    norm_lambda: list = field(default_factory=list)
     kept_rank: list = field(default_factory=list)
     route: list = field(default_factory=list)
     norm_x: float = 0.0
@@ -264,8 +261,6 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
             trace.feas.append(feas)
             trace.rho.append(rho_k)
             trace.wall_time.append(elapsed)
-            trace.norm_m.append(shrunk.norm())
-            trace.norm_lambda.append(float(np.linalg.norm(state.Lambda)))
             trace.kept_rank.append(shrunk.rank)
             trace.route.append(shrunk.route)
 
@@ -278,57 +273,21 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     return state.M, trace
 
 
-def augmented_lagrangian(state: SolverState, X: ObservedMatrix, config: SolverConfig,
-                         grid_step: float | None = None) -> float:
-    """Scaled augmented Lagrangian value, for desk-scale diagnostics only.
-
-    (1/rho) * sum_i reg(sigma_i(M)) + (1/2)||X - M - E||_F^2
-    + (1/rho) <Lambda, X - M - E> at the implicit E, so the residual
-    X - M - E is P_O(X - M); the regularizer is reconstructed numerically
-    on each singular value (threshold 1/rho). Not used inside the solve loop.
-    """
-    from .penalties import implicit_regularizer
-
-    rho = state.rho
-    penalty = config.penalty_at(rho)
-    sv = np.linalg.svd(state.M, compute_uv=False)
-    reg_total = float(np.sum(implicit_regularizer(penalty, sv, grid_step=grid_step)))
-    residual = update_e(state.M, X, np.flatnonzero(X.mask))
-    return (
-        reg_total / rho
-        + 0.5 * float(np.sum(residual * residual))
-        + float(np.sum(state.Lambda * residual)) / rho
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Diagnostics over a finished trace: boundedness proxies and whether
-    the estimate step and feasibility residual settled."""
-
-    max_norm_m: float
-    max_norm_lambda: float
-    final_rel_e: float
-    final_delta_m: float
-    final_feas: float
-    delta_m_settled: bool
-    feas_decreasing: bool
-    converged: bool
-    flags: tuple
-
-
 DIAGNOSTIC_WINDOW = 10   # trailing iterations over which feasibility must fall
 SETTLE_ITERS = 3         # final increments judged; a healthy solve's oscillate down
 DELTA_M_REL_TOL = 1e-6   # settled: increments at most this times ||X||_F
 EARLY_ITERS = 2          # converging within this many iterations is suspect
 
 
-def convergence_diagnostics(trace: IterTrace) -> ConvergenceReport:
-    """Judge a trace: the last SETTLE_ITERS estimate increments settled,
-    feasibility trending down over the last DIAGNOSTIC_WINDOW iterations, and
-    no iteration-cap flag. Any violation is reported as a flag, and so is a
-    solve that kept every singular value or converged within EARLY_ITERS
-    iterations: its answer is likely the zero-filled input, not a completion.
+def convergence_diagnostics(trace: IterTrace) -> tuple:
+    """Judge a trace and return its flags, an empty tuple for a clean solve.
+
+    In this order: "max_iters_reached" when the cap was hit,
+    "delta_m_above_threshold" when the last SETTLE_ITERS estimate increments
+    did not settle, "feas_stalled" when feasibility did not fall over the
+    last DIAGNOSTIC_WINDOW iterations, and "zero_filled_input" when the solve
+    kept every singular value or converged within EARLY_ITERS iterations:
+    its answer is likely the zero-filled input, not a completion.
     """
     if trace.iters == 0:
         raise ValueError("empty trace")
@@ -345,14 +304,4 @@ def convergence_diagnostics(trace: IterTrace) -> ConvergenceReport:
     if (0 < trace.full_rank <= max(trace.kept_rank, default=0)
             or (trace.iters <= EARLY_ITERS and not trace.max_iters_reached)):
         flags.append("zero_filled_input")
-    return ConvergenceReport(
-        max_norm_m=max(trace.norm_m),
-        max_norm_lambda=max(trace.norm_lambda),
-        final_rel_e=trace.rel_e[-1],
-        final_delta_m=trace.delta_m[-1],
-        final_feas=trace.feas[-1],
-        delta_m_settled=delta_m_settled,
-        feas_decreasing=feas_decreasing,
-        converged=not flags,
-        flags=tuple(flags),
-    )
+    return tuple(flags)

@@ -201,30 +201,30 @@ def continuity_constants(generator: GeneratorFunction, lam: float) -> Continuity
     return ContinuityConstants(a, b)
 
 
-def validate(penalty: Penalty, strict: bool = True) -> None:
-    """In strict mode, check bias dominance; certify generic penalties.
+def validate(penalty: Penalty) -> None:
+    """Check bias dominance; certify generic penalties.
 
-    Strict mode enforces the shape bound under which the shrinkage amount
+    A named kind must keep the shape bound under which the shrinkage amount
     decays beyond the threshold (sigma <= sqrt(2)*lam, gamma <= lam,
     tau <= sqrt(3)/2*lam). Generic penalties are certified numerically:
-    always that the quadratic complement g(x) = x^2/2 - loss(x) is convex
-    (sampled tail derivative nonnegative and nondecreasing), and in strict
-    mode that h is concave beyond the threshold.
+    first that the quadratic complement g(x) = x^2/2 - loss(x) is convex
+    (sampled tail derivative nonnegative and nondecreasing), then that h is
+    concave beyond the threshold.
     """
     # Positivity is checked by Penalty.__post_init__, which every instance
     # (frozen, so never mutated afterwards) has passed.
     if penalty.kind in STRICT_SHAPE_RATIO:
-        if strict and penalty.shape > STRICT_SHAPE_RATIO[penalty.kind] * penalty.lam * (1 + 1e-12):
+        if penalty.shape > STRICT_SHAPE_RATIO[penalty.kind] * penalty.lam * (1 + 1e-12):
             raise BiasConstraintViolated(
                 f"{penalty.kind}: shape {penalty.shape} exceeds "
                 f"{STRICT_SHAPE_RATIO[penalty.kind]:.6f} * lam = "
                 f"{STRICT_SHAPE_RATIO[penalty.kind] * penalty.lam:.6g}"
             )
     elif penalty.kind == GENERIC:
-        _certify_generator(penalty, strict)
+        _certify_generator(penalty)
 
 
-def _certify_generator(penalty: Penalty, strict: bool) -> None:
+def _certify_generator(penalty: Penalty) -> None:
     """Numerical certificates for a user-supplied generator."""
     lam = penalty.lam
     gen = penalty.generator
@@ -240,18 +240,15 @@ def _certify_generator(penalty: Penalty, strict: bool) -> None:
         raise GeneratorNotConvex("g' not finite on the sampled grid")
     if np.any(gp < -tol) or np.any(np.diff(gp) < -tol):
         raise GeneratorNotConvex("sampled g' negative or decreasing; g is not convex")
-    if strict:
-        xs = np.linspace(lam * (1 + 1e-6), 20.0 * lam, 4001)
-        if gen.h_second is not None:
-            h2 = np.asarray(gen.h_second(xs), dtype=float)
-        else:
-            dh = lam * 1e-5
-            h2 = (np.asarray(gen.h_prime(xs + dh), dtype=float)
-                  - np.asarray(gen.h_prime(xs - dh), dtype=float)) / (2 * dh)
-        if np.any(h2 >= 0.0):
-            raise BiasConstraintViolated(
-                "h'' >= 0 beyond the threshold; bias does not decay"
-            )
+    xs = np.linspace(lam * (1 + 1e-6), 20.0 * lam, 4001)
+    if gen.h_second is not None:
+        h2 = np.asarray(gen.h_second(xs), dtype=float)
+    else:
+        dh = lam * 1e-5
+        h2 = (np.asarray(gen.h_prime(xs + dh), dtype=float)
+              - np.asarray(gen.h_prime(xs - dh), dtype=float)) / (2 * dh)
+    if np.any(h2 >= 0.0):
+        raise BiasConstraintViolated("h'' >= 0 beyond the threshold; bias does not decay")
 
 
 def _shrink_ratio(penalty: Penalty, ax: np.ndarray) -> np.ndarray:
@@ -336,7 +333,7 @@ def bias(penalty: Penalty, x):
     """Shrinkage gap x - P(x) for x >= lam.
 
     Equals lam at x = lam for every kind; constant for soft thresholding and
-    decaying beyond the threshold for the others under strict-mode shapes.
+    decaying beyond the threshold for the others under strict shapes.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa < penalty.lam):

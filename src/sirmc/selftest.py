@@ -1,7 +1,7 @@
 """Built-in oracle and invariant suites, runnable from the CLI.
 
 Each suite checks one family of contracts on the four named penalties at
-threshold 1 with their strict-mode boundary shapes. The prox under test can
+threshold 1 with their strict boundary shapes. The prox under test can
 be overridden (the CLI uses that as a negative-control hook); everything
 else is evaluated through the package's public API.
 """

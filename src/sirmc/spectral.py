@@ -185,10 +185,6 @@ class Shrinkage:
     def rank(self) -> int:
         return self.S.size
 
-    def norm(self) -> float:
-        """||M||_F, which is ||S||."""
-        return float(np.linalg.norm(self.S))
-
 
 def shrink_singular_values(D: np.ndarray, penalty: Penalty,
                            start: np.ndarray | None = None):

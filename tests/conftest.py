@@ -7,7 +7,7 @@ LAM = 1.0
 
 
 def boundary_penalties():
-    """The four named kinds at threshold 1 with strict-mode boundary shapes."""
+    """The four named kinds at threshold 1 with strict boundary shapes."""
     return [soft_threshold(LAM), how(LAM), hoc(LAM), hog(LAM)]
 
 

@@ -38,14 +38,13 @@ from conftest import boundary_penalties, nonconvex_penalties
 
 class TestValidate:
     def test_boundary_shapes_pass_strict(self):
-        validate(how(1.0, math.sqrt(2.0)), strict=True)
-        validate(hoc(1.0, 1.0), strict=True)
-        validate(hog(1.0, math.sqrt(3.0) / 2.0), strict=True)
+        validate(how(1.0, math.sqrt(2.0)))
+        validate(hoc(1.0, 1.0))
+        validate(hog(1.0, math.sqrt(3.0) / 2.0))
 
     def test_oversized_shape_rejected_in_strict_mode(self):
         with pytest.raises(BiasConstraintViolated):
-            validate(hoc(1.0, 1.5), strict=True)
-        validate(hoc(1.0, 1.5), strict=False)  # fine when non-strict
+            validate(hoc(1.0, 1.5))
 
     def test_nonpositive_threshold(self):
         with pytest.raises(NonPositiveParameter):
@@ -264,7 +263,7 @@ class TestGenericKind:
         xs = np.linspace(-6.0, 6.0, 241)
         for gen, ref in pairs:
             p = generic(1.0, gen)
-            validate(p, strict=True)
+            validate(p)
             assert np.allclose(prox_eval(p, xs), prox_eval(ref, xs), rtol=1e-12, atol=1e-12)
             assert np.allclose(loss_eval(p, xs), loss_eval(ref, xs), rtol=1e-12, atol=1e-12)
 
@@ -274,7 +273,7 @@ class TestGenericKind:
             h_prime=lambda x: 3.0 * np.square(np.asarray(x, dtype=float)),
         )
         with pytest.raises(GeneratorNotConvex):
-            validate(generic(1.0, cubic), strict=False)
+            validate(generic(1.0, cubic))
 
     def test_linear_generator_fails_strict_concavity(self):
         lin = GeneratorFunction(
@@ -282,6 +281,5 @@ class TestGenericKind:
             h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         )
         p = generic(1.0, lin)
-        validate(p, strict=False)
         with pytest.raises(BiasConstraintViolated):
-            validate(p, strict=True)
+            validate(p)
