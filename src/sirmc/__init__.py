@@ -4,7 +4,6 @@ from robust loss functions, plus the benchmark harness around it."""
 from .bench import (
     METHODS,
     SUCCESS_RMSE,
-    RuntimeTable,
     SweepGrid,
     SyntheticSpec,
     TrialReport,

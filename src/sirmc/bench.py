@@ -1,6 +1,6 @@
 """Synthetic benchmark harness: data generation, RMSE scoring, phase-transition
 sweeps over (rank fraction, missing fraction), and runtime-versus-rank tables,
-which are sweeps over rank / n at one missing fraction.
+which are sweeps over rank / n at one missing fraction. Both give a SweepGrid.
 
 Every number produced here is a pure function of (spec, config, seed).
 Randomness comes from Philox streams split with SeedSequence spawn keys
@@ -12,7 +12,7 @@ trial.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class SyntheticSpec:
             raise InvalidSpec(f"f_m must be in [0, 1), got {self.f_m}")
         if self.n_observed < 1:
             raise InvalidSpec("no observed entries left")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
     @property
     def rank(self) -> int:
@@ -151,19 +153,32 @@ def _run_methods(X_full, X_obs, methods, configs) -> list[TrialReport]:
 
 @dataclass
 class SweepGrid:
-    """Aggregated phase-transition results.
-
-    success_rate and mean_log10_rmse are (len(f_r), len(f_m), len(methods))
-    arrays; trials that raised are failures with rmse treated as infinite.
+    """Phase-transition results: each (i_fr, i_fm, trial) task's reports, one
+    TrialReport per method in methods order. Every per-cell number is derived
+    from them by cell_mean; a trial that raised is a failure with infinite rmse.
     """
 
     f_r_values: tuple
     f_m_values: tuple
     methods: tuple
     trials: int
-    success_rate: np.ndarray
-    mean_log10_rmse: np.ndarray
-    reports: dict = field(default_factory=dict)  # (i_fr, i_fm, trial) -> [TrialReport]
+    reports: dict  # (i_fr, i_fm, trial) -> [TrialReport]
+
+    def cell_mean(self, value) -> np.ndarray:
+        """Mean of value(report) over each cell's trials, as a (len(f_r),
+        len(f_m), len(methods)) array. The trials are reduced in trial order
+        along the contiguous last axis, as a 1-D np.mean would."""
+        shape = (len(self.f_r_values), len(self.f_m_values), len(self.methods), self.trials)
+        values = [value(self.reports[(i, j, t)][k]) for i, j, k, t in np.ndindex(shape)]
+        return np.array(values, dtype=float).reshape(shape).mean(axis=-1)
+
+    @property
+    def success_rate(self) -> np.ndarray:
+        return self.cell_mean(lambda r: r.success)
+
+    @property
+    def mean_log10_rmse(self) -> np.ndarray:
+        return self.cell_mean(lambda r: np.log10(max(r.rmse, 1e-16)))
 
     def success_cells(self, method: str) -> int:
         """Number of grid cells where the method's success rate is at least
@@ -172,21 +187,18 @@ class SweepGrid:
         return int(np.sum(self.success_rate[:, :, k] >= SUCCESS_CELL_RATE))
 
     def to_csv(self, path) -> None:
+        success_rate, mean_log10 = self.success_rate, self.mean_log10_rmse
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("f_r,f_m,method,success_rate,mean_log10_rmse,trials\n")
-            for i, fr in enumerate(self.f_r_values):
-                for j, fm in enumerate(self.f_m_values):
-                    for k, method in enumerate(self.methods):
-                        f.write(
-                            f"{float(fr)!r},{float(fm)!r},{method},"
-                            f"{float(self.success_rate[i, j, k])!r},"
-                            f"{float(self.mean_log10_rmse[i, j, k])!r},{self.trials}\n"
-                        )
+            for i, j, k in np.ndindex(success_rate.shape):
+                f.write(f"{float(self.f_r_values[i])!r},{float(self.f_m_values[j])!r},"
+                        f"{self.methods[k]},{float(success_rate[i, j, k])!r},"
+                        f"{float(mean_log10[i, j, k])!r},{self.trials}\n")
 
 
 def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 200,
                 seed: int = 0, configs: dict | None = None, threads: int = 1) -> SweepGrid:
-    """Run trials for every (f_r, f_m) cell and method; aggregate success rates.
+    """Run trials for every (f_r, f_m) cell and method; return their reports as a grid.
 
     Each trial draws one (ground truth, mask) pair, shared across all methods
     to remove instance-to-instance variance from the comparison. Seeds derive
@@ -198,18 +210,15 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
     f_r_values = tuple(f_r_values)
     f_m_values = tuple(f_m_values)
     methods = tuple(methods)
     if configs is None:
         configs = {method: config_for_method(method) for method in methods}
 
-    tasks = [
-        (i, j, t)
-        for i in range(len(f_r_values))
-        for j in range(len(f_m_values))
-        for t in range(trials)
-    ]
+    tasks = list(np.ndindex(len(f_r_values), len(f_m_values), trials))
 
     def run_task(key):
         i, j, t = key
@@ -227,61 +236,20 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     else:
         results = {task: run_task(task) for task in tasks}
 
-    shape = (len(f_r_values), len(f_m_values), len(methods))
-    success_rate = np.zeros(shape)
-    mean_log10 = np.zeros(shape)
-    for i in range(len(f_r_values)):
-        for j in range(len(f_m_values)):
-            cell = [results[(i, j, t)] for t in range(trials)]
-            for k in range(len(methods)):
-                errs = np.array([cell[t][k].rmse for t in range(trials)])
-                success_rate[i, j, k] = np.mean(errs < SUCCESS_RMSE)
-                mean_log10[i, j, k] = np.mean(np.log10(np.clip(errs, 1e-16, None)))
-    return SweepGrid(f_r_values, f_m_values, methods, trials,
-                     success_rate, mean_log10, reports=results)
-
-
-@dataclass
-class RuntimeTable:
-    """Mean solve time per (rank, method); iteration counts kept alongside."""
-
-    ranks: tuple
-    methods: tuple
-    trials: int
-    mean_seconds: np.ndarray       # (len(ranks), len(methods))
-    mean_iters: np.ndarray         # (len(ranks), len(methods))
-    iters: np.ndarray              # (len(ranks), len(methods), trials)
-
-    def seconds_per_iter(self) -> np.ndarray:
-        return self.mean_seconds / np.maximum(self.mean_iters, 1)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("rank,method,mean_seconds,trials\n")
-            for i, r in enumerate(self.ranks):
-                for k, method in enumerate(self.methods):
-                    f.write(f"{r},{method},{float(self.mean_seconds[i, k])!r},{self.trials}\n")
+    return SweepGrid(f_r_values, f_m_values, methods, trials, results)
 
 
 def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int = 200,
-                  seed: int = 0, configs: dict | None = None,
-                  threads: int = 1) -> RuntimeTable:
-    """Time solves over ranks: a phase_sweep over f_r = rank / n at the one
-    missing fraction f_m, so trials are drawn, seeded, solved and their
-    failures recorded as in a sweep. Timing covers solve only; a failed solve
-    counts the time until it raised and 0 iterations.
+                  seed: int = 0, configs: dict | None = None, threads: int = 1) -> SweepGrid:
+    """Time solves over ranks: the SweepGrid of a phase_sweep over f_r = rank / n
+    at the one missing fraction f_m, so trials are drawn, seeded, solved and
+    their failures recorded as in a sweep. Its cell_mean of wall_time is the
+    runtime table; timing covers solve only, and a failed solve counts the
+    time until it raised and 0 iterations.
 
     Sequential by default. threads > 1 parallelizes (rank, trial) tasks as
     phase_sweep does: iteration counts do not change, but each wall time is
     that of a solve sharing the CPUs.
     """
-    ranks = tuple(int(r) for r in ranks)
-    grid = phase_sweep(tuple(r / n for r in ranks), (f_m,), methods, trials, m=m, n=n,
+    return phase_sweep(tuple(int(r) / n for r in ranks), (f_m,), methods, trials, m=m, n=n,
                        seed=seed, configs=configs, threads=threads)
-    shape = (len(ranks), len(grid.methods), trials)
-    reports = [grid.reports[(i, 0, t)][k] for i in range(shape[0])
-               for k in range(shape[1]) for t in range(trials)]
-    seconds = np.array([r.wall_time for r in reports], dtype=float).reshape(shape)
-    iters = np.array([r.iters for r in reports], dtype=int).reshape(shape)
-    return RuntimeTable(ranks, grid.methods, trials, seconds.mean(axis=2),
-                        iters.mean(axis=2), iters)

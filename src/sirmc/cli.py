@@ -114,9 +114,10 @@ def _method_configs(args) -> dict:
     return {m: _solver_config(args, m) for m in methods}
 
 
-def _log_failures(methods, failed) -> None:
-    """One line per method with failed solves; failed[k] counts method k's."""
-    for method, count in zip(methods, failed):
+def _log_failed_solves(grid: bench.SweepGrid) -> None:
+    """One line per method with solves that raised, counted by TrialReport.failure."""
+    for k, method in enumerate(grid.methods):
+        count = sum(reports[k].failure is not None for reports in grid.reports.values())
         if count:
             _log(f"{method}: {count} solves failed")
 
@@ -161,8 +162,7 @@ def cmd_sweep(args) -> int:
     for method in grid.methods:
         _log(f"{method}: {grid.success_cells(method)} cells with success rate "
              f">= {bench.SUCCESS_CELL_RATE}")
-    _log_failures(grid.methods, [sum(rs[k].failure is not None for rs in grid.reports.values())
-                                 for k in range(len(grid.methods))])
+    _log_failed_solves(grid)
     return EXIT_OK
 
 
@@ -172,13 +172,17 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise UsageError(f"--ranks: expected comma-separated integers, got {args.ranks!r}") from None
     configs = _method_configs(args)
-    table = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
-                                m=args.m, n=args.n, seed=args.seed,
-                                configs=configs, threads=_resolve_threads(args, len(ranks)))
-    table.to_csv(args.out)
+    grid = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
+                               m=args.m, n=args.n, seed=args.seed,
+                               configs=configs, threads=_resolve_threads(args, len(ranks)))
+    mean_seconds = grid.cell_mean(lambda r: r.wall_time)[:, 0, :]
+    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+        f.write("rank,method,mean_seconds,trials\n")
+        for i, rank in enumerate(ranks):
+            for k, method in enumerate(grid.methods):
+                f.write(f"{rank},{method},{float(mean_seconds[i, k])!r},{grid.trials}\n")
     _log(f"benchmarked ranks {list(ranks)}; wrote {args.out}")
-    # A solve that raised is recorded with 0 iterations.
-    _log_failures(table.methods, (table.iters == 0).sum(axis=(0, 2)))
+    _log_failed_solves(grid)
     return EXIT_OK
 
 

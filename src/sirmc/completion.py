@@ -114,7 +114,7 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """ADMM iterates: estimate M, multiplier Lambda, penalty rho, count k.
+    """ADMM iterates: estimate M, multiplier Lambda, penalty rho.
 
     Lambda is zero off the observed set, so it is stored as a vector over it,
     in the row-major order of np.flatnonzero(mask) (the solve's index omega).
@@ -126,7 +126,6 @@ class SolverState:
     M: np.ndarray
     Lambda: np.ndarray
     rho: float
-    k: int = 0
     V: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -142,7 +141,7 @@ class SolverState:
             if norm == 0.0:
                 raise ZeroNormInput("all observed entries are zero; no scale to start from")
             rho = 1.0 / norm
-        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.n_observed), rho=rho, k=0)
+        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.n_observed), rho=rho)
 
 
 @dataclass
@@ -207,12 +206,11 @@ def update_e(M_new: np.ndarray, X: ObservedMatrix, omega: np.ndarray) -> np.ndar
 
 def update_multiplier_and_rho(state: SolverState, residual: np.ndarray,
                               config: SolverConfig) -> SolverState:
-    """Multiplier step on the residual, then grow rho by mu; k advances."""
+    """Multiplier step on the residual, then grow rho by mu."""
     return SolverState(
         M=state.M,
         Lambda=state.Lambda + state.rho * residual,
         rho=config.mu * state.rho,
-        k=state.k + 1,
         V=state.V,
     )
 
@@ -239,15 +237,15 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
             t0 = time.perf_counter()
             rho_k = state.rho
             if not math.isfinite(rho_k):
-                raise NonFiniteIterate(f"rho overflowed at iteration {state.k + 1}")
+                raise NonFiniteIterate(f"rho overflowed at iteration {trace.iters + 1}")
             try:
                 shrunk = update_m(state, X, config, omega)
             except NonFiniteInput as exc:
                 raise NonFiniteIterate(
-                    f"iterates went non-finite at iteration {state.k + 1}: {exc}"
+                    f"iterates went non-finite at iteration {trace.iters + 1}: {exc}"
                 ) from exc
             if not shrunk.finite:
-                raise NonFiniteIterate(f"estimate went non-finite at iteration {state.k + 1}")
+                raise NonFiniteIterate(f"estimate went non-finite at iteration {trace.iters + 1}")
             residual = update_e(shrunk.M, X, omega)
             delta_m = float(np.linalg.norm(shrunk.M - state.M))
             state.M, state.V = shrunk.M, shrunk.V
@@ -266,7 +264,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
 
             if rel_e <= config.xi:
                 break
-            if state.k >= config.max_iters:
+            if trace.iters >= config.max_iters:
                 trace.max_iters_reached = True
                 break
 

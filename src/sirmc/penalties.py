@@ -185,6 +185,14 @@ def gmc_generator(tau: float) -> GeneratorFunction:
     )
 
 
+def _slope_at(generator: GeneratorFunction, lam: float) -> float:
+    """h'(lam); raises ZeroDerivativeAtThreshold when it is 0 or not finite."""
+    hp = float(generator.h_prime(np.float64(lam)))
+    if hp == 0.0 or not math.isfinite(hp):
+        raise ZeroDerivativeAtThreshold(f"h'({lam}) = {hp}")
+    return hp
+
+
 def continuity_constants(generator: GeneratorFunction, lam: float) -> ContinuityConstants:
     """Solve the two C1 matching conditions at |x| = lam.
 
@@ -193,10 +201,7 @@ def continuity_constants(generator: GeneratorFunction, lam: float) -> Continuity
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise NonPositiveParameter(f"lam must be finite and positive, got {lam}")
-    hp = float(generator.h_prime(np.float64(lam)))
-    if hp == 0.0 or not math.isfinite(hp):
-        raise ZeroDerivativeAtThreshold(f"h'({lam}) = {hp}")
-    a = lam / hp
+    a = lam / _slope_at(generator, lam)
     b = 0.5 * lam * lam - a * float(generator.h(np.float64(lam)))
     return ContinuityConstants(a, b)
 
@@ -278,12 +283,14 @@ def _shrink_amount(penalty: Penalty, ax: np.ndarray) -> np.ndarray:
     if penalty.kind == SOFT:
         return np.full_like(ax, penalty.lam)
     if penalty.kind == GENERIC:
-        cc = continuity_constants(penalty.generator, penalty.lam)
-        # Clamp the argument at lam: below the threshold the result is
-        # discarded anyway (a*h'(lam) = lam >= ax there), and this keeps
-        # h' away from a possibly awkward origin.
-        return cc.a * np.asarray(penalty.generator.h_prime(np.maximum(ax, penalty.lam)),
-                                 dtype=float)
+        # a*h'(t) in ratio form, |x| * (h'(t)/t) / (h'(lam)/lam) with
+        # t = max(|x|, lam): the ratio is exactly 1 for |x| <= lam, so the
+        # prox is exactly 0 there, as for the closed forms. The clamp also
+        # keeps h' away from a possibly awkward origin.
+        lam = penalty.lam
+        t = np.maximum(ax, lam)
+        ratio_at_lam = _slope_at(penalty.generator, lam) / lam
+        return ax * (np.asarray(penalty.generator.h_prime(t), dtype=float) / t / ratio_at_lam)
     return ax * _shrink_ratio(penalty, ax)
 
 

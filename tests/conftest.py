@@ -1,14 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
-from sirmc import hoc, hog, how, soft_threshold
+from sirmc import cauchy_generator, generic, gmc_generator, hoc, hog, how, welsch_generator
+from sirmc.selftest import default_penalties
 
 LAM = 1.0
+
+# Each closed form's generated twin, by method: the family lam -> the
+# framework's generic penalty from the generator the closed form splices, at
+# the same shape / lam.
+GENERATOR_TWINS = {
+    "how": lambda lam: generic(lam, welsch_generator(math.sqrt(2.0) * lam)),
+    "hoc": lambda lam: generic(lam, cauchy_generator(lam)),
+    "hog": lambda lam: generic(lam, gmc_generator(math.sqrt(3.0) / 2.0 * lam)),
+}
 
 
 def boundary_penalties():
     """The four named kinds at threshold 1 with strict boundary shapes."""
-    return [soft_threshold(LAM), how(LAM), hoc(LAM), hog(LAM)]
+    return default_penalties()
 
 
 def nonconvex_penalties():

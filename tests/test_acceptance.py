@@ -180,12 +180,14 @@ def test_08_runtime_sanity():
     configs = {m: bench.config_for_method(m, xi=1e-30, max_iters=120) for m in methods}
     _, X_warm = gen_synthetic(SyntheticSpec(m=300, n=200, f_r=0.05, f_m=0.1, seed=1))
     solve(X_warm, bench.config_for_method("nnm", xi=1e-30, max_iters=30))
-    table = runtime_bench((10, 30), methods, trials=2, f_m=0.1, m=300, n=200,
-                          seed=20240801, configs=configs)
-    per_iter = table.seconds_per_iter()
+    ranks = (10, 30)
+    grid = runtime_bench(ranks, methods, trials=2, f_m=0.1, m=300, n=200,
+                         seed=20240801, configs=configs)
+    per_iter = (grid.cell_mean(lambda r: r.wall_time)[:, 0]
+                / np.maximum(grid.cell_mean(lambda r: r.iters)[:, 0], 1))
     ok = True
     rows = []
-    for i, rank in enumerate(table.ranks):
+    for i, rank in enumerate(ranks):
         base = per_iter[i, 0]  # nnm
         for k, method in enumerate(methods[1:], start=1):
             ratio = per_iter[i, k] / base

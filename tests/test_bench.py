@@ -33,6 +33,10 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidSpec):
             SyntheticSpec(m=10, n=10, f_r=0.5, f_m=1.0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpec, match="seed must be >= 0"):
+            SyntheticSpec(m=10, n=10, f_r=0.5, f_m=0.1, seed=-1)
+
 
 class TestGenSynthetic:
     def test_rank_and_mask_cardinality(self):
@@ -126,8 +130,8 @@ class TestPhaseSweep:
         # One failed solve no longer aborts a runtime table.
         table = runtime_bench((2,), ("how", "nnm"), trials=2, m=10, n=8, seed=0,
                               configs=configs)
-        assert table.iters[0, 0].tolist() == [0, 0]
-        assert np.all(table.iters[0, 1] > 0)
+        assert [table.reports[(0, 0, t)][0].iters for t in range(2)] == [0, 0]
+        assert all(table.reports[(0, 0, t)][1].iters > 0 for t in range(2))
         capsys.readouterr()
         for command in (["sweep", "--fr-values", "0.2", "--fm-values", "0.2"],
                         ["bench", "--ranks", "2"]):
@@ -157,6 +161,26 @@ class TestPhaseSweep:
         with pytest.raises(InvalidSpec):
             runtime_bench((2,), ("how",), trials=0, m=10, n=8, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpec, match="seed must be >= 0"):
+            phase_sweep((0.1,), (0.2,), ("how",), trials=1, m=10, n=8, seed=-1)
+        with pytest.raises(InvalidSpec, match="seed must be >= 0"):
+            runtime_bench((2,), ("how",), trials=1, m=10, n=8, seed=-1)
+
+    def test_cell_mean_reduces_each_cells_trials_in_order(self):
+        # Eight or more trials take np.mean's pairwise sum; the grid must
+        # reduce each cell exactly as a 1-D mean over its trials would.
+        grid = phase_sweep((0.1,), (0.2,), ("how", "nnm"), trials=9, m=10, n=8, seed=2,
+                           configs={m: bench.config_for_method(m, **FAST)
+                                    for m in ("how", "nnm")})
+        for k in range(2):
+            cell = [grid.reports[(0, 0, t)][k] for t in range(9)]
+            assert grid.success_rate[0, 0, k] == np.mean([r.success for r in cell])
+            assert grid.mean_log10_rmse[0, 0, k] == np.mean(
+                np.log10(np.clip([r.rmse for r in cell], 1e-16, None)))
+            assert grid.cell_mean(lambda r: r.wall_time)[0, 0, k] == np.mean(
+                [r.wall_time for r in cell])
+
     def test_csv_schema(self, tmp_path):
         grid = phase_sweep((0.1,), (0.2,), ("how", "nnm"), trials=1, m=20, n=15,
                            seed=3, configs={m: bench.config_for_method(m, **FAST)
@@ -175,18 +199,29 @@ class TestRuntimeBench:
                            seed=7, configs=configs)
         t2 = runtime_bench((3,), ("how", "nnm"), trials=2, f_m=0.1, m=30, n=20,
                            seed=7, configs=configs, threads=2)
-        assert np.all(t1.mean_seconds > 0.0)
-        assert np.array_equal(t1.iters, t2.iters)  # timings may differ, iterates cannot
+        assert np.all(t1.cell_mean(lambda r: r.wall_time) > 0.0)
+        # timings may differ, iterates cannot
+        assert np.array_equal(t1.cell_mean(lambda r: r.iters), t2.cell_mean(lambda r: r.iters))
 
-    def test_csv_schema(self, tmp_path):
-        configs = {"nnm": bench.config_for_method("nnm", **FAST)}
-        table = runtime_bench((2, 4), ("nnm",), trials=1, f_m=0.1, m=20, n=15,
-                              seed=1, configs=configs)
+    def test_csv_schema(self, tmp_path, monkeypatch):
+        # `sirmc bench` writes each cell's mean of TrialReport.wall_time.
+        grids = []
+
+        def keep_grid(*args, **kwargs):
+            grids.append(runtime_bench(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(bench, "runtime_bench", keep_grid)
         out = tmp_path / "rt.csv"
-        table.to_csv(out)
+        assert main(["bench", "--ranks", "2,4", "--methods", "nnm", "--trials", "2",
+                     "--fm", "0.1", "--m", "20", "--n", "15", "--seed", "1", *FAST_SOLVER,
+                     "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "rank,method,mean_seconds,trials"
-        assert len(lines) == 1 + 2
+        (grid,) = grids
+        means = [float(np.mean([grid.reports[(i, 0, t)][0].wall_time for t in range(2)]))
+                 for i in range(2)]
+        assert lines[1:] == [f"2,nnm,{means[0]!r},2", f"4,nnm,{means[1]!r},2"]
 
 
 def test_benchmark_tracer_sees_each_sweep_task(monkeypatch):

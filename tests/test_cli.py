@@ -130,6 +130,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
                                          ["bench", "--ranks", "2"]])
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, command):
+        code = main([*command, "--seed", "-1", "--trials", "1", "--methods", "nnm",
+                     "--m", "10", "--n", "8", "--out", str(tmp_path / "g.csv")])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code == 1 and errors == ["error: seed must be >= 0, got -1"]
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
+                                         ["bench", "--ranks", "2"]])
     def test_logs_threads_in_effect(self, tmp_path, capsys, command):
         args = [*command, "--trials", "2", "--methods", "nnm", "--m", "12", "--n", "10",
                 "--threads", "2", *FAST_SOLVER, "--out", str(tmp_path / "o.csv")]

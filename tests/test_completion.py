@@ -14,11 +14,8 @@ from sirmc import (
     ObservedMatrix,
     SolverConfig,
     SolverState,
-    cauchy_generator,
     convergence_diagnostics,
     gen_synthetic,
-    generic,
-    gmc_generator,
     how,
     implicit_regularizer,
     rmse,
@@ -26,7 +23,6 @@ from sirmc import (
     soft_threshold,
     solve,
     SyntheticSpec,
-    welsch_generator,
 )
 from sirmc import bench, completion, spectral
 from sirmc.completion import update_e, update_m, update_multiplier_and_rho
@@ -40,6 +36,8 @@ from sirmc.errors import (
     ZeroNormInput,
 )
 from sirmc.penalties import STRICT_SHAPE_RATIO
+
+from conftest import GENERATOR_TWINS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -218,12 +216,11 @@ class TestUpdateE:
 
 class TestMultiplierAndRho:
     def test_zero_residual_leaves_multiplier(self):
-        state = SolverState(M=np.ones((2, 2)), Lambda=np.full(4, 0.3), rho=1.0, k=4)
+        state = SolverState(M=np.ones((2, 2)), Lambda=np.full(4, 0.3), rho=1.0)
         cfg = SolverConfig()
         new = update_multiplier_and_rho(state, np.zeros(4), cfg)
         assert np.array_equal(new.Lambda, state.Lambda)
         assert new.rho == pytest.approx(1.05, rel=1e-15)
-        assert new.k == 5
 
     def test_residual_arithmetic(self):
         mask = np.array([[True]])
@@ -394,15 +391,6 @@ def test_solve_matches_dense_reference(method):
     assert trace.iters == len(rel_e_ref)
     assert np.array_equal(M, M_ref)
     np.testing.assert_allclose(trace.rel_e, rel_e_ref, rtol=1e-15, atol=0.0)
-
-
-# Each closed form's generated twin: the framework's generic penalty from
-# the generator the closed form splices, at the same shape / lam.
-GENERATOR_TWINS = {
-    "how": lambda lam: generic(lam, welsch_generator(math.sqrt(2.0) * lam)),
-    "hoc": lambda lam: generic(lam, cauchy_generator(lam)),
-    "hog": lambda lam: generic(lam, gmc_generator(math.sqrt(3.0) / 2.0 * lam)),
-}
 
 
 @pytest.mark.parametrize("method", ["how", "hoc", "hog"])

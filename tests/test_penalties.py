@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sirmc import (
+    METHODS,
     GeneratorFunction,
     Penalty,
     bias,
     cauchy_generator,
     continuity_constants,
     generic,
-    gmc_generator,
     hoc,
     hog,
     how,
@@ -33,7 +33,7 @@ from sirmc.errors import (
     ZeroDerivativeAtThreshold,
 )
 
-from conftest import boundary_penalties, nonconvex_penalties
+from conftest import GENERATOR_TWINS, boundary_penalties, nonconvex_penalties
 
 
 class TestValidate:
@@ -255,17 +255,19 @@ def test_prox_threshold_property(lam, x):
 
 class TestGenericKind:
     def test_matches_each_closed_form(self):
-        pairs = [
-            (welsch_generator(math.sqrt(2.0)), how(1.0)),
-            (cauchy_generator(1.0), hoc(1.0)),
-            (gmc_generator(math.sqrt(3.0) / 2.0), hog(1.0)),
-        ]
         xs = np.linspace(-6.0, 6.0, 241)
-        for gen, ref in pairs:
-            p = generic(1.0, gen)
+        for method, twin in GENERATOR_TWINS.items():
+            p, ref = twin(1.0), make_penalty(METHODS[method], 1.0)
             validate(p)
             assert np.allclose(prox_eval(p, xs), prox_eval(ref, xs), rtol=1e-12, atol=1e-12)
             assert np.allclose(loss_eval(p, xs), loss_eval(ref, xs), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("method", sorted(GENERATOR_TWINS))
+    def test_twin_prox_is_zero_at_every_threshold(self, method):
+        # The shrink routes assume prox is exactly zero on [-lam, lam].
+        missed = [lam for lam in np.logspace(-3.0, 3.0, 2001)
+                  if np.any(prox_eval(GENERATOR_TWINS[method](lam), np.array([-lam, lam])))]
+        assert missed == []
 
     def test_nonconvex_complement_rejected(self):
         cubic = GeneratorFunction(
