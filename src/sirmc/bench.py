@@ -196,6 +196,11 @@ class SweepGrid:
                         f"{float(mean_log10[i, j, k])!r},{self.trials}\n")
 
 
+def pool_workers(threads: int, tasks: int) -> int:
+    """Pool workers for tasks on threads trial threads; 1 runs them in turn."""
+    return max(1, min(threads, tasks))
+
+
 def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 200,
                 seed: int = 0, configs: dict | None = None, threads: int = 1) -> SweepGrid:
     """Run trials for every (f_r, f_m) cell and method; return their reports as a grid.
@@ -203,10 +208,11 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     Each trial draws one (ground truth, mask) pair, shared across all methods
     to remove instance-to-instance variance from the comparison. Seeds derive
     from (cell row, cell column, trial), so parallel execution order cannot
-    change any number. Per-trial solver errors are recorded as failures, not
-    raised. The tasks run on min(threads, tasks) pool workers, under
-    blas.per_solve's share of the CPUs, or sequentially on one, where each
-    solve sets its own count. The BLAS count can change an RMSE's last bits.
+    change any number. Every cell's spec is checked before the first solve;
+    per-trial solver errors are recorded as failures, not raised. The tasks
+    run on pool_workers(threads, tasks) workers, under blas.per_solve's share
+    of the CPUs, or in turn on one, where each solve sets its own count. The
+    BLAS count can change an RMSE's last bits.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -218,23 +224,22 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     if configs is None:
         configs = {method: config_for_method(method) for method in methods}
 
-    tasks = list(np.ndindex(len(f_r_values), len(f_m_values), trials))
+    specs = {(i, j, t): SyntheticSpec(m=m, n=n, f_r=f_r_values[i], f_m=f_m_values[j],
+                                      seed=_trial_seed(seed, i, j, t))
+             for i, j, t in np.ndindex(len(f_r_values), len(f_m_values), trials)}
 
-    def run_task(key):
-        i, j, t = key
-        spec = SyntheticSpec(m=m, n=n, f_r=f_r_values[i], f_m=f_m_values[j],
-                             seed=_trial_seed(seed, i, j, t))
+    def run_task(spec):
         X_full, X_obs = gen_synthetic(spec)
         return _run_methods(X_full, X_obs, methods, configs)
 
-    workers = min(threads, len(tasks))
+    workers = pool_workers(threads, len(specs))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # ~10 ms; only pools pay it
 
         with blas.limit(blas.per_solve(m * n, workers)), ThreadPoolExecutor(workers) as pool:
-            results = dict(zip(tasks, pool.map(run_task, tasks)))
+            results = dict(zip(specs, pool.map(run_task, specs.values())))
     else:
-        results = {task: run_task(task) for task in tasks}
+        results = {key: run_task(spec) for key, spec in specs.items()}
 
     return SweepGrid(f_r_values, f_m_values, methods, trials, results)
 
@@ -251,5 +256,9 @@ def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int
     phase_sweep does: iteration counts do not change, but each wall time is
     that of a solve sharing the CPUs.
     """
-    return phase_sweep(tuple(int(r) / n for r in ranks), (f_m,), methods, trials, m=m, n=n,
+    ranks = tuple(int(r) for r in ranks)
+    for r in ranks:
+        if not 1 <= r <= n:
+            raise InvalidSpec(f"rank must be in [1, n] = [1, {n}], got {r}")
+    return phase_sweep(tuple(r / n for r in ranks), (f_m,), methods, trials, m=m, n=n,
                        seed=seed, configs=configs, threads=threads)

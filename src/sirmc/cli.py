@@ -81,16 +81,18 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output file path")
 
 
-def _resolve_threads(args, cells: int) -> int:
-    """Trial threads of a grid command; logs its pool workers and each solve's BLAS threads."""
+def _trial_threads(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    threads = 1 if args.deterministic else args.threads
-    workers, count = max(1, min(threads, cells * args.trials)), blas.threads()
+    return 1 if args.deterministic else args.threads
+
+
+def _log_threads(args, grid: bench.SweepGrid) -> None:
+    """Log the pool workers a grid ran on and each solve's BLAS threads."""
+    workers, count = bench.pool_workers(_trial_threads(args), len(grid.reports)), blas.threads()
     per_solve = "unknown" if count is None else min(count, blas.per_solve(args.m * args.n, workers))
     total = "unknown" if count is None else workers * per_solve
     _log(f"threads: {workers} trial x {per_solve} BLAS = {total} on {blas.cpus()} CPUs")
-    return threads
 
 
 def _solver_config(args, method: str) -> SolverConfig:
@@ -152,10 +154,10 @@ def cmd_sweep(args) -> int:
         fr_values = _parse_fractions(args.fr_values, "--fr-values")
         fm_values = _parse_fractions(args.fm_values, "--fm-values")
     configs = _method_configs(args)
-    threads = _resolve_threads(args, len(fr_values) * len(fm_values))
     grid = bench.phase_sweep(fr_values, fm_values, tuple(configs), args.trials,
                              m=args.m, n=args.n, seed=args.seed,
-                             configs=configs, threads=threads)
+                             configs=configs, threads=_trial_threads(args))
+    _log_threads(args, grid)
     grid.to_csv(args.out)
     _log(f"swept {len(fr_values)}x{len(fm_values)} cells x {len(configs)} methods "
          f"x {args.trials} trials; wrote {args.out}")
@@ -174,7 +176,8 @@ def cmd_bench(args) -> int:
     configs = _method_configs(args)
     grid = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
                                m=args.m, n=args.n, seed=args.seed,
-                               configs=configs, threads=_resolve_threads(args, len(ranks)))
+                               configs=configs, threads=_trial_threads(args))
+    _log_threads(args, grid)
     mean_seconds = grid.cell_mean(lambda r: r.wall_time)[:, 0, :]
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write("rank,method,mean_seconds,trials\n")

@@ -14,11 +14,13 @@ forms above be certified numerically.
 
 Built-in kinds: plain soft thresholding plus the hybrid quadratic/Welsch
 ("how"), quadratic/Cauchy ("hoc") and quadratic/GMC ("hog") losses, which
-``METHODS`` alone lists by method name ("nnm" is soft thresholding). New
-penalties are synthesized from any smooth generator h via ``generic``. The
-solver takes a family lam -> Penalty. With the shape, or the generator's
-argument, proportional to lam, prox_lam(x) = lam * prox_1(x / lam), so the
-member at lam = 1 certifies every threshold.
+``METHODS`` alone lists by method name ("nnm" is soft thresholding). Each
+hybrid kind is the splice of its generator (``GENERATORS``) at its shape, so
+it shares one prox, one loss and one certificate with ``generic``, which
+splices any smooth generator h. The solver takes a family lam -> Penalty.
+With the shape, or the generator's argument, proportional to lam,
+prox_lam(x) = lam * prox_1(x / lam), so the member at lam = 1 certifies
+every threshold.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ KINDS = (SOFT, HOW, HOC, HOG, GENERIC)
 
 METHODS = {"nnm": SOFT, "how": HOW, "hoc": HOC, "hog": HOG}  # in table and CLI order
 
-# Largest shape/lam ratio for which the shrinkage amount decays beyond the
-# threshold, i.e. the penalty biases large values less than soft thresholding.
+# Default shape/lam ratio: the largest whose shrinkage amount decays beyond the
+# threshold, biasing large values less than soft thresholding (validate's bound).
 STRICT_SHAPE_RATIO = {
     HOW: math.sqrt(2.0),
     HOC: 1.0,
@@ -90,8 +92,8 @@ class Penalty:
     """One member of the penalty family.
 
     lam is the shrinkage threshold. shape is the tail parameter (sigma for
-    "how", gamma for "hoc", tau for "hog"); it is None for "soft". Generic
-    penalties carry their generator instead.
+    "how", gamma for "hoc", tau for "hog"); it is None for "soft". A hybrid
+    kind's generator is built from its shape; a generic penalty is given one.
     """
 
     kind: str
@@ -104,16 +106,16 @@ class Penalty:
             raise DomainError(f"unknown penalty kind {self.kind!r}, expected one of {KINDS}")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise NonPositiveParameter(f"lam must be finite and positive, got {self.lam}")
-        if self.kind in STRICT_SHAPE_RATIO:
-            if self.shape is None or not (self.shape > 0.0 and math.isfinite(self.shape)):
-                raise NonPositiveParameter(
-                    f"{self.kind} needs a finite and positive shape parameter, got {self.shape}"
-                )
+        if self.kind in GENERATORS and not 0.0 < (self.shape or 0.0) < math.inf:
+            raise NonPositiveParameter(
+                f"{self.kind} needs a finite and positive shape parameter, got {self.shape}")
         if self.kind == GENERIC and self.generator is None:
             raise DomainError("generic penalty needs a generator")
         q = self.lam * self.lam + 4.0 * (self.shape or 0.0) * (self.shape or 0.0)
-        if not math.isfinite(q * q):  # hog's loss forms (lam^2 + 4 shape^2)^2
+        if not math.isfinite(q * q):  # gmc's h'(lam) forms (lam^2 + 4 shape^2)^2
             raise DomainError(f"lam {self.lam} and shape {self.shape} overflow the loss")
+        if self.kind in GENERATORS:
+            object.__setattr__(self, "generator", GENERATORS[self.kind](self.shape))
 
 
 def soft_threshold(lam: float) -> Penalty:
@@ -153,10 +155,12 @@ def make_penalty(kind: str, lam: float, shape: float | None = None,
 
 
 def welsch_generator(sigma: float) -> GeneratorFunction:
-    """h(x) = sigma^2/2 * (1 - exp(-x^2/sigma^2)); reproduces the "how" kind."""
-    s2 = float(sigma) ** 2
+    """h(x) = -sigma^2/2 * exp(-x^2/sigma^2), the Welsch loss less its constant
+    sigma^2/2; generates the "how" kind. With the constant, a*h + b would cancel
+    to nothing at a small sigma, where a = exp(lam^2/sigma^2) is huge."""
+    s2 = float(sigma) * float(sigma)
     return GeneratorFunction(
-        h=lambda x: 0.5 * s2 * (1.0 - np.exp(-np.square(x) / s2)),
+        h=lambda x: -0.5 * s2 * np.exp(-np.square(x) / s2),
         h_prime=lambda x: x * np.exp(-np.square(x) / s2),
         h_second=lambda x: (1.0 - 2.0 * np.square(x) / s2) * np.exp(-np.square(x) / s2),
         name="welsch",
@@ -164,8 +168,8 @@ def welsch_generator(sigma: float) -> GeneratorFunction:
 
 
 def cauchy_generator(gamma: float) -> GeneratorFunction:
-    """h(x) = log(1 + x^2/gamma^2); reproduces the "hoc" kind."""
-    g2 = float(gamma) ** 2
+    """h(x) = log(1 + x^2/gamma^2); generates the "hoc" kind."""
+    g2 = float(gamma) * float(gamma)
     return GeneratorFunction(
         h=lambda x: np.log1p(np.square(x) / g2),
         h_prime=lambda x: 2.0 * x / (g2 + np.square(x)),
@@ -175,8 +179,8 @@ def cauchy_generator(gamma: float) -> GeneratorFunction:
 
 
 def gmc_generator(tau: float) -> GeneratorFunction:
-    """h(x) = x^2 / (x^2 + 4*tau^2); reproduces the "hog" kind."""
-    t2 = 4.0 * float(tau) ** 2
+    """h(x) = x^2 / (x^2 + 4*tau^2); generates the "hog" kind."""
+    t2 = 4.0 * float(tau) * float(tau)
     return GeneratorFunction(
         h=lambda x: np.square(x) / (np.square(x) + t2),
         h_prime=lambda x: 2.0 * t2 * x / np.square(np.square(x) + t2),
@@ -185,11 +189,15 @@ def gmc_generator(tau: float) -> GeneratorFunction:
     )
 
 
+# Each hybrid kind's generator, as a function of its shape.
+GENERATORS = {HOW: welsch_generator, HOC: cauchy_generator, HOG: gmc_generator}
+
+
 def _slope_at(generator: GeneratorFunction, lam: float) -> float:
-    """h'(lam); raises ZeroDerivativeAtThreshold when it is 0 or not finite."""
+    """h'(lam); ZeroDerivativeAtThreshold if it is 0, not finite or lam / h'(lam) overflows."""
     hp = float(generator.h_prime(np.float64(lam)))
-    if hp == 0.0 or not math.isfinite(hp):
-        raise ZeroDerivativeAtThreshold(f"h'({lam}) = {hp}")
+    if hp == 0.0 or not (math.isfinite(hp) and math.isfinite(lam / hp)):
+        raise ZeroDerivativeAtThreshold(f"h'({lam}) = {hp} for generator {generator.name!r}")
     return hp
 
 
@@ -207,32 +215,14 @@ def continuity_constants(generator: GeneratorFunction, lam: float) -> Continuity
 
 
 def validate(penalty: Penalty) -> None:
-    """Check bias dominance; certify generic penalties.
-
-    A named kind must keep the shape bound under which the shrinkage amount
-    decays beyond the threshold (sigma <= sqrt(2)*lam, gamma <= lam,
-    tau <= sqrt(3)/2*lam). Generic penalties are certified numerically:
-    first that the quadratic complement g(x) = x^2/2 - loss(x) is convex
-    (sampled tail derivative nonnegative and nondecreasing), then that h is
-    concave beyond the threshold.
+    """Certify bias dominance of every penalty with a generator: g(x) =
+    x^2/2 - loss(x) is convex, and h'' < 0 beyond the threshold, so the
+    shrinkage amount decays there. For the hybrid kinds the second test is
+    the shape bound sigma <= sqrt(2)*lam, gamma <= lam, tau <= sqrt(3)/2*lam.
     """
-    # Positivity is checked by Penalty.__post_init__, which every instance
-    # (frozen, so never mutated afterwards) has passed.
-    if penalty.kind in STRICT_SHAPE_RATIO:
-        if penalty.shape > STRICT_SHAPE_RATIO[penalty.kind] * penalty.lam * (1 + 1e-12):
-            raise BiasConstraintViolated(
-                f"{penalty.kind}: shape {penalty.shape} exceeds "
-                f"{STRICT_SHAPE_RATIO[penalty.kind]:.6f} * lam = "
-                f"{STRICT_SHAPE_RATIO[penalty.kind] * penalty.lam:.6g}"
-            )
-    elif penalty.kind == GENERIC:
-        _certify_generator(penalty)
-
-
-def _certify_generator(penalty: Penalty) -> None:
-    """Numerical certificates for a user-supplied generator."""
-    lam = penalty.lam
-    gen = penalty.generator
+    if penalty.generator is None:
+        return
+    lam, gen = penalty.lam, penalty.generator
     cc = continuity_constants(gen, lam)
     # Convexity of g(x) = x^2/2 - loss(x): g' vanishes on [0, lam] by the C1
     # splice, so g is convex iff the tail derivative x - a*h'(x) stays
@@ -252,46 +242,27 @@ def _certify_generator(penalty: Penalty) -> None:
         dh = lam * 1e-5
         h2 = (np.asarray(gen.h_prime(xs + dh), dtype=float)
               - np.asarray(gen.h_prime(xs - dh), dtype=float)) / (2 * dh)
-    if np.any(h2 >= 0.0):
-        raise BiasConstraintViolated("h'' >= 0 beyond the threshold; bias does not decay")
-
-
-def _shrink_ratio(penalty: Penalty, ax: np.ndarray) -> np.ndarray:
-    """Shrinkage amount divided by |x|, for |x| = ax >= 0.
-
-    Written as a ratio so that s(lam) = lam holds exactly in floating point
-    (the ratio is a/a = 1 at the threshold), which makes the thresholding
-    property prox(x) = 0 <=> |x| <= lam exact. lam is squared by plain
-    multiplication for the same reason: pow() can land one ulp away from
-    x*x, which would shift the boundary off |x| = lam.
-    """
-    lam2 = penalty.lam * penalty.lam
-    if penalty.kind == HOW:
-        s2 = penalty.shape * penalty.shape
-        return np.exp((lam2 - np.square(ax)) / s2)
-    if penalty.kind == HOC:
-        g2 = penalty.shape * penalty.shape
-        return (g2 + lam2) / (g2 + np.square(ax))
-    if penalty.kind == HOG:
-        t2 = 4.0 * penalty.shape * penalty.shape
-        return np.square((lam2 + t2) / (np.square(ax) + t2))
-    raise ValueError(f"no ratio form for kind {penalty.kind!r}")
+    # Sign bit, not h2 < 0: a negative h'' that underflows (Welsch far out at a
+    # small sigma) keeps its sign as -0.0; +0.0, a positive value and nan fail.
+    if not np.all(np.signbit(h2)):
+        ratio = STRICT_SHAPE_RATIO.get(penalty.kind)
+        got = "" if ratio is None else f" at shape {penalty.shape}, over {ratio:.6f} * lam"
+        raise BiasConstraintViolated(f"{penalty.kind}: h'' >= 0 beyond the threshold{got}; "
+                                     "bias does not decay")
 
 
 def _shrink_amount(penalty: Penalty, ax: np.ndarray) -> np.ndarray:
-    """Kind-specific shrinkage s(|x|) subtracted from |x| by the prox."""
+    """Shrinkage s(|x|) subtracted from |x| by the prox: lam, or a*h'(|x|) in
+    ratio form |x| * (h'(t)/t) / (h'(lam)/lam) with t = max(|x|, lam). The
+    ratio is exactly 1 for |x| <= lam, which makes prox(x) = 0 <=> |x| <= lam
+    exact; the clamp also keeps h' away from a possibly awkward origin.
+    """
+    lam = penalty.lam
     if penalty.kind == SOFT:
-        return np.full_like(ax, penalty.lam)
-    if penalty.kind == GENERIC:
-        # a*h'(t) in ratio form, |x| * (h'(t)/t) / (h'(lam)/lam) with
-        # t = max(|x|, lam): the ratio is exactly 1 for |x| <= lam, so the
-        # prox is exactly 0 there, as for the closed forms. The clamp also
-        # keeps h' away from a possibly awkward origin.
-        lam = penalty.lam
-        t = np.maximum(ax, lam)
-        ratio_at_lam = _slope_at(penalty.generator, lam) / lam
-        return ax * (np.asarray(penalty.generator.h_prime(t), dtype=float) / t / ratio_at_lam)
-    return ax * _shrink_ratio(penalty, ax)
+        return np.full_like(ax, lam)
+    t = np.maximum(ax, lam)
+    ratio_at_lam = _slope_at(penalty.generator, lam) / lam
+    return ax * (np.asarray(penalty.generator.h_prime(t), dtype=float) / t / ratio_at_lam)
 
 
 def prox_eval(penalty: Penalty, x):
@@ -316,21 +287,8 @@ def loss_eval(penalty: Penalty, x):
     lam = penalty.lam
     if penalty.kind == SOFT:
         tail = lam * ax - 0.5 * lam * lam
-    elif penalty.kind == HOW:
-        s2 = penalty.shape ** 2
-        tail = 0.5 * s2 * (1.0 - np.exp((lam * lam - np.square(ax)) / s2)) + 0.5 * lam * lam
-    elif penalty.kind == HOC:
-        g2 = penalty.shape ** 2
-        half_sum = 0.5 * (g2 + lam * lam)
-        delta = 0.5 * lam * lam - half_sum * math.log1p(lam * lam / g2)
-        tail = half_sum * np.log1p(np.square(ax) / g2) + delta
-    elif penalty.kind == HOG:
-        t2 = 4.0 * penalty.shape ** 2
-        c = (lam * lam + t2) ** 2
-        x2 = np.square(ax)
-        tail = c / (2.0 * t2) * (x2 / (x2 + t2)) - lam ** 4 / (2.0 * t2)  # no c * x^2 overflow
     else:
-        cc = continuity_constants(penalty.generator, penalty.lam)
+        cc = continuity_constants(penalty.generator, lam)
         tail = cc.a * np.asarray(penalty.generator.h(np.maximum(ax, lam)), dtype=float) + cc.b
     out = np.where(ax <= lam, 0.5 * np.square(xa), tail)
     return float(out) if np.ndim(x) == 0 else out

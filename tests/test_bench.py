@@ -167,6 +167,13 @@ class TestPhaseSweep:
         with pytest.raises(InvalidSpec, match="seed must be >= 0"):
             runtime_bench((2,), ("how",), trials=1, m=10, n=8, seed=-1)
 
+    def test_invalid_last_cell_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "solve", lambda *args: calls.append(args))
+        with pytest.raises(InvalidSpec, match="f_r must be in"):
+            phase_sweep((0.1, 0.2, 2.0), (0.2,), ("nnm",), trials=2, m=10, n=8, seed=0)
+        assert calls == []
+
     def test_cell_mean_reduces_each_cells_trials_in_order(self):
         # Eight or more trials take np.mean's pairwise sum; the grid must
         # reduce each cell exactly as a 1-D mean over its trials would.
@@ -203,6 +210,12 @@ class TestRuntimeBench:
         # timings may differ, iterates cannot: every trial keeps its count
         assert ({key: [r.iters for r in rs] for key, rs in t1.reports.items()}
                 == {key: [r.iters for r in rs] for key, rs in t2.reports.items()})
+
+    @pytest.mark.parametrize("rank", [0, -1, 9])
+    def test_rank_outside_one_to_n_named_as_a_rank(self, rank):
+        message = rf"^rank must be in \[1, n\] = \[1, 8\], got {rank}$"
+        with pytest.raises(InvalidSpec, match=message):
+            runtime_bench((2, rank), ("nnm",), trials=1, m=10, n=8, seed=0)
 
     def test_csv_schema(self, tmp_path, monkeypatch):
         # `sirmc bench` writes each cell's mean of TrialReport.wall_time.

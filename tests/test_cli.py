@@ -138,6 +138,18 @@ class TestSweep:
         assert code == 1 and errors == ["error: seed must be >= 0, got -1"]
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("command, error", [
+        (["sweep", "--fr-values", "0.1,0.2,2", "--fm-values", "0.2"],
+         "error: f_r must be in (0, 1], got 2.0"),
+        (["bench", "--ranks", "2,0"], "error: rank must be in [1, n] = [1, 8], got 0"),
+        (["bench", "--ranks", "9"], "error: rank must be in [1, n] = [1, 8], got 9")],
+        ids=["sweep-last-fraction", "bench-rank-0", "bench-rank-9"])
+    def test_rejected_grid_prints_only_its_error(self, tmp_path, capsys, command, error):
+        code = main([*command, "--trials", "2", "--methods", "nnm", "--m", "10", "--n", "8",
+                     "--threads", "2", "--out", str(tmp_path / "g.csv")])
+        assert code == 1 and capsys.readouterr().err.splitlines() == [error]
+        assert not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
                                          ["bench", "--ranks", "2"]])
     def test_logs_threads_in_effect(self, tmp_path, capsys, command):

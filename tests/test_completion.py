@@ -18,6 +18,7 @@ from sirmc import (
     gen_synthetic,
     how,
     implicit_regularizer,
+    prox_eval,
     rmse,
     shrink_singular_values,
     soft_threshold,
@@ -101,8 +102,8 @@ class TestSolverConfig:
         with pytest.raises(error) as caught:
             bench.config_for_method(kind, shape_ratio=ratio)
         assert type(caught.value) is error
-        bench.config_for_method(kind, shape_ratio=bound)
-        bench.config_for_method(kind, shape_ratio=0.8 * bound)
+        for fraction in (1.0, 0.8, 0.05):
+            bench.config_for_method(kind, shape_ratio=fraction * bound)
 
     def test_penalty_at_couples_shape_to_threshold(self):
         cfg = SolverConfig(family=how)
@@ -395,15 +396,15 @@ def test_solve_matches_dense_reference(method):
 
 @pytest.mark.parametrize("method", ["how", "hoc", "hog"])
 def test_generator_twin_solves_like_its_closed_form(method):
-    # A generated family solves through the same config as a built-in one,
-    # and referees its closed form over a whole protocol solve.
-    _, X_obs = _protocol_instance()
-    M, trace = solve(X_obs, bench.config_for_method(method))
-    twin = SolverConfig(family=GENERATOR_TWINS[method])
-    assert twin.penalty_at(2.0).kind == "generic"
-    M_twin, trace_twin = solve(X_obs, twin)
-    assert trace_twin.iters == trace.iters
-    assert np.max(np.abs(M_twin - M)) <= 1e-9 * np.max(np.abs(M))
+    # A hybrid kind is the splice of its generator: at every threshold a solve
+    # visits, the generated twin's prox is bitwise the named family's, so the
+    # two solve alike step for step.
+    family = bench.config_for_method(method).family
+    xs = np.linspace(0.0, 12.0, 4801)
+    for lam in np.logspace(-3.0, 3.0, 61):
+        twin = GENERATOR_TWINS[method](lam)
+        assert twin.kind == "generic"
+        assert np.array_equal(prox_eval(twin, lam * xs), prox_eval(family(lam), lam * xs))
 
 
 def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):

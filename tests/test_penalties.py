@@ -1,5 +1,6 @@
-"""Closed-form loss/prox values, splice constants, and the scalar invariants."""
+"""Loss/prox values against the closed forms, splice constants, and the scalar invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,8 +33,15 @@ from sirmc.errors import (
     NonPositiveParameter,
     ZeroDerivativeAtThreshold,
 )
+from sirmc.penalties import STRICT_SHAPE_RATIO
 
-from conftest import GENERATOR_TWINS, boundary_penalties, nonconvex_penalties
+from conftest import (
+    GENERATOR_TWINS,
+    boundary_penalties,
+    closed_form_loss,
+    closed_form_prox,
+    nonconvex_penalties,
+)
 
 
 class TestValidate:
@@ -107,6 +115,9 @@ class TestContinuityConstants:
         )
         with pytest.raises(ZeroDerivativeAtThreshold):
             continuity_constants(flat, 1.0)
+        # h'(1) = exp(-1/0.0375^2) ~ 1.5e-309 is subnormal: a = 1/h'(1) overflows
+        with pytest.raises(ZeroDerivativeAtThreshold):
+            continuity_constants(welsch_generator(0.0375), 1.0)
 
 
 class TestLossValues:
@@ -255,12 +266,19 @@ def test_prox_threshold_property(lam, x):
 
 class TestGenericKind:
     def test_matches_each_closed_form(self):
+        # The paper's closed forms referee each hybrid kind's generator splice,
+        # at its strict shape and at a small one, where Welsch's h'' underflows.
         xs = np.linspace(-6.0, 6.0, 241)
-        for method, twin in GENERATOR_TWINS.items():
-            p, ref = twin(1.0), make_penalty(METHODS[method], 1.0)
-            validate(p)
-            assert np.allclose(prox_eval(p, xs), prox_eval(ref, xs), rtol=1e-12, atol=1e-12)
-            assert np.allclose(loss_eval(p, xs), loss_eval(ref, xs), rtol=1e-12, atol=1e-12)
+        for method in GENERATOR_TWINS:
+            for lam, ratio in itertools.product((1e-2, 1.0, 1e2), (0.05, 1.0)):
+                p = make_penalty(METHODS[method], lam,
+                                 shape=ratio * STRICT_SHAPE_RATIO[method] * lam)
+                validate(p)
+                x = lam * xs
+                assert np.allclose(prox_eval(p, x), closed_form_prox(method, lam, p.shape, x),
+                                   rtol=1e-12, atol=1e-12 * lam)
+                assert np.allclose(loss_eval(p, x), closed_form_loss(method, lam, p.shape, x),
+                                   rtol=1e-12, atol=1e-12 * lam * lam)
 
     @pytest.mark.parametrize("method", sorted(GENERATOR_TWINS))
     def test_twin_prox_is_zero_at_every_threshold(self, method):
