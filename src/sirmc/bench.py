@@ -36,13 +36,12 @@ TRANSITION_FM = (0.20, 0.35, 0.50, 0.65)
 
 def config_for_method(method: str, shape_ratio: float | None = None,
                       **overrides) -> SolverConfig:
-    """Solver config for a method name in METHODS: its kind's family, with shape
-    shape_ratio * lam, or the kind's strict bound when shape_ratio is None."""
+    """Solver config for a method name in METHODS: its kind's unit penalty, with
+    shape shape_ratio, or the kind's strict bound when shape_ratio is None."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
-    kind = METHODS[method]
-    return SolverConfig(family=lambda lam: make_penalty(
-        kind, lam, shape=None if shape_ratio is None else shape_ratio * lam), **overrides)
+    return SolverConfig(penalty=make_penalty(METHODS[method], 1.0, shape=shape_ratio),
+                        **overrides)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=penalties.METHODS, default="how",
                    help="penalty / solver variant (default: how)")
     p.add_argument("--shape-ratio", type=float, default=None,
-                   help="shape parameter over threshold; default is the kind's strict bound")
+                   help="shape of the unit penalty (lam = 1), shrunk at lam_k as lam_k * "
+                        "prox_1(sigma / lam_k); default is the kind's strict bound")
     p.add_argument("--rho0", type=float, default=SolverConfig.rho0,
                    help="initial penalty parameter (default: 1 / the observed data's "
                         "spectral norm)")

@@ -5,9 +5,10 @@ the unobserved entries of M are free. The E-step has a closed form: E is
 -M off the observed set (the multiplier Lambda is zero there) and 0 on it.
 E is never stored, and Lambda is a vector over the observed set. Each
 iteration shrinks the singular values of D, M with the observed entries set
-to X + Lambda/rho, with threshold 1/rho, forms the residual r = X - M on the
-observed set that the implicit E leaves, takes the multiplier step
-Lambda += rho * r and grows rho geometrically. With the
+to X + Lambda/rho, as lam * prox_1(sigma / lam) at lam = 1/rho with prox_1
+the unit penalty's, forms the residual r = X - M on the observed set that
+the implicit E leaves, takes the multiplier step Lambda += rho * r and grows
+rho geometrically. With the
 soft-threshold penalty this is a nuclear-norm-minimization baseline built
 on the exact same scaffold, so benchmark comparisons vary only the
 regularizer.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -74,7 +75,8 @@ class ObservedMatrix:
         return int(self.mask.sum())
 
     def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        with np.errstate(over="ignore"):  # inf, not a warning, when the squares overflow
+            return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,13 @@ class SolverConfig:
     unspecified; rho0 = None starts it at the data's scale, rho0 = 1/||P_O X||_2
     as in inexact ALM (Lin, Chen & Ma 2010), with the norm estimated by
     spectral.norm_estimate when the solve starts. A given rho0 is used as is.
-    family maps a threshold lam to its penalty (default: penalties.how at its
-    strict shape); iteration k shrinks with family(1/rho_k). Only family(1)
-    is validated, so a family must scale: shape, or generator argument,
-    proportional to lam, which makes prox_lam(x) = lam * prox_1(x / lam).
+    penalty is the unit penalty, at lam = 1 (default: penalties.how(1.0), at
+    its strict shape), validated here once; iteration k shrinks with
+    lam_k * prox_1(sigma / lam_k) at lam_k = 1/rho_k, the prox of the penalty
+    whose shape, or generator argument, is scaled by lam_k.
     """
 
-    family: Callable[[float], Penalty] = how
+    penalty: Penalty = how(1.0)
     rho0: Optional[float] = None  # None = 1 / ||P_O X||_2, resolved by SolverState.initial
     mu: float = 1.05
     xi: float = 1e-7
@@ -105,11 +107,9 @@ class SolverConfig:
             raise NonPositiveParameter(f"xi must be positive and finite, got {self.xi}")
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        validate(self.family(1.0))
-
-    def penalty_at(self, rho: float) -> Penalty:
-        """Penalty for the current iteration: the family's member at 1/rho."""
-        return self.family(1.0 / rho)
+        if self.penalty.lam != 1.0:
+            raise DomainError(f"penalty must be the unit penalty, lam = 1; got {self.penalty.lam}")
+        validate(self.penalty)
 
 
 @dataclass
@@ -186,12 +186,12 @@ class IterTrace:
 
 def update_m(state: SolverState, X: ObservedMatrix, config: SolverConfig,
              omega: np.ndarray) -> Shrinkage:
-    """Estimate update: singular-value shrinkage of D = X - E + Lambda/rho, which
-    with the implicit E is X + Lambda/rho on the observed set (flat index omega)
-    and M off it, warm-started from the current estimate's right singular vectors."""
+    """Estimate update: singular-value shrinkage at threshold 1/rho of D = X - E +
+    Lambda/rho, which with the implicit E is X + Lambda/rho on the observed set (flat
+    index omega) and M off it, warm-started from the estimate's right singular vectors."""
     D = state.M.copy()
     np.put(D, omega, X.values.take(omega) + state.Lambda / state.rho)
-    return shrink_singular_values(D, config.penalty_at(state.rho), start=state.V)
+    return shrink_singular_values(D, config.penalty, start=state.V, scale=1.0 / state.rho)
 
 
 def update_e(M_new: np.ndarray, X: ObservedMatrix, omega: np.ndarray) -> np.ndarray:
@@ -226,6 +226,8 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     norm_x = X.frob_norm()
     if norm_x == 0.0:
         raise ZeroNormInput("all observed entries are zero; relative error undefined")
+    if not math.isfinite(norm_x):
+        raise DomainError("||P_O X||_F overflows; rescale the data")
 
     state = SolverState.initial(X, config)
     trace = IterTrace(norm_x=norm_x, full_rank=min(X.shape))

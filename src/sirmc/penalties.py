@@ -17,10 +17,10 @@ Built-in kinds: plain soft thresholding plus the hybrid quadratic/Welsch
 ``METHODS`` alone lists by method name ("nnm" is soft thresholding). Each
 hybrid kind is the splice of its generator (``GENERATORS``) at its shape, so
 it shares one prox, one loss and one certificate with ``generic``, which
-splices any smooth generator h. The solver takes a family lam -> Penalty.
+splices any smooth generator h. The solver takes one penalty at lam = 1.
 With the shape, or the generator's argument, proportional to lam,
-prox_lam(x) = lam * prox_1(x / lam), so the member at lam = 1 certifies
-every threshold.
+prox_lam(x) = lam * prox_1(x / lam), so it shrinks at threshold lam_k with
+lam_k * prox_1(sigma / lam_k), and the unit penalty certifies every one.
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ class ContinuityConstants:
 
 @dataclass(frozen=True)
 class Penalty:
-    """One member of the penalty family.
+    """A penalty at threshold lam.
 
-    lam is the shrinkage threshold. shape is the tail parameter (sigma for
-    "how", gamma for "hoc", tau for "hog"); it is None for "soft". A hybrid
-    kind's generator is built from its shape; a generic penalty is given one.
+    shape is the tail parameter (sigma for "how", gamma for "hoc", tau for
+    "hog"); it is None for "soft". A hybrid kind's generator is built from
+    its shape; a generic penalty is given one, and no other kind takes one.
     """
 
     kind: str
@@ -109,8 +109,8 @@ class Penalty:
         if self.kind in GENERATORS and not 0.0 < (self.shape or 0.0) < math.inf:
             raise NonPositiveParameter(
                 f"{self.kind} needs a finite and positive shape parameter, got {self.shape}")
-        if self.kind == GENERIC and self.generator is None:
-            raise DomainError("generic penalty needs a generator")
+        if (self.kind == GENERIC) != (self.generator is not None):
+            raise DomainError(f"{self.kind} penalty: only generic takes a generator, and needs one")
         q = self.lam * self.lam + 4.0 * (self.shape or 0.0) * (self.shape or 0.0)
         if not math.isfinite(q * q):  # gmc's h'(lam) forms (lam^2 + 4 shape^2)^2
             raise DomainError(f"lam {self.lam} and shape {self.shape} overflow the loss")
@@ -143,15 +143,11 @@ def generic(lam: float, generator: GeneratorFunction) -> Penalty:
 
 def make_penalty(kind: str, lam: float, shape: float | None = None,
                  generator: GeneratorFunction | None = None) -> Penalty:
-    """Factory keyed on kind name; shape falls back to the kind's default, its
-    strict bound times lam. Soft ignores shape; Penalty rejects unknown kinds."""
-    if kind == SOFT:
-        return soft_threshold(lam)
-    if kind == GENERIC:
-        return generic(lam, generator)
+    """Factory keyed on kind name. Only the hybrid kinds take a shape, by default their
+    strict bound times lam; Penalty rejects unknown kinds and a generator not for generic."""
     if kind in STRICT_SHAPE_RATIO and shape is None:
         shape = STRICT_SHAPE_RATIO[kind] * lam
-    return Penalty(kind, lam, shape)
+    return Penalty(kind, lam, shape if kind in STRICT_SHAPE_RATIO else None, generator)
 
 
 def welsch_generator(sigma: float) -> GeneratorFunction:
@@ -179,10 +175,12 @@ def cauchy_generator(gamma: float) -> GeneratorFunction:
 
 
 def gmc_generator(tau: float) -> GeneratorFunction:
-    """h(x) = x^2 / (x^2 + 4*tau^2); generates the "hog" kind."""
+    """h(x) = -4*tau^2 / (x^2 + 4*tau^2), the GMC loss x^2 / (x^2 + 4*tau^2) less
+    its constant 1; generates the "hog" kind. With the constant, a*h + b would
+    cancel at a small tau, where a = (lam^2 + 4*tau^2)^2 / (8*tau^2) is huge."""
     t2 = 4.0 * float(tau) * float(tau)
     return GeneratorFunction(
-        h=lambda x: np.square(x) / (np.square(x) + t2),
+        h=lambda x: -t2 / (np.square(x) + t2),
         h_prime=lambda x: 2.0 * t2 * x / np.square(np.square(x) + t2),
         h_second=lambda x: 2.0 * t2 * (t2 - 3.0 * np.square(x)) / (np.square(x) + t2) ** 3,
         name="gmc",

@@ -187,11 +187,11 @@ class Shrinkage:
 
 
 def shrink_singular_values(D: np.ndarray, penalty: Penalty,
-                           start: np.ndarray | None = None):
-    """Return U @ diag(P(sigma_i)) @ V.T where P is the penalty's prox.
+                           start: np.ndarray | None = None, scale: float = 1.0):
+    """Return U @ diag(P(sigma_i)) @ V.T where P(x) = scale * prox(x / scale),
+    the penalty's prox scaled to threshold lam = scale * penalty.lam.
 
-    Output singular values are the prox of the input's; in particular any
-    input with spectral norm <= lam maps to the zero matrix. Without
+    Any input with spectral norm <= lam maps to the zero matrix. Without
     `start` this is the dense SVD and returns the matrix. With `start`, the
     right singular vectors of the previous shrink's kept values (n x 0 at
     first), only the values above lam are computed when a route certifies
@@ -202,11 +202,10 @@ def shrink_singular_values(D: np.ndarray, penalty: Penalty,
         raise ValueError(f"expected a 2-d matrix, got shape {D.shape}")
     if not np.isfinite(D).all():
         raise NonFiniteInput("matrix contains NaN or inf")
+    svd = SvdTriplet.of(D, above=scale * penalty.lam, start=start)
+    s = scale * prox_eval(penalty, svd.S / scale)
     if start is None:
-        svd = SvdTriplet.of(D)
-        return (svd.U * prox_eval(penalty, svd.S)) @ svd.V.T
-    svd = SvdTriplet.of(D, above=penalty.lam, start=start)
-    s = prox_eval(penalty, svd.S)
+        return (svd.U * s) @ svd.V.T
     finite = bool(np.isfinite(s).all() and np.isfinite(svd.U).all()
                   and np.isfinite(svd.V).all())
     keep = s != 0.0

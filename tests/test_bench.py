@@ -113,7 +113,7 @@ class TestPhaseSweep:
         real_solve = bench.solve
 
         def how_fails(X, config):
-            if config.penalty_at(1.0).kind == "how":
+            if config.penalty.kind == "how":
                 raise np.linalg.LinAlgError("forced")
             return real_solve(X, config)
 
@@ -264,7 +264,7 @@ def test_benchmark_tracer_sees_each_sweep_task(monkeypatch):
 
 
 def test_config_for_method_maps_nnm_to_soft():
-    assert bench.config_for_method("nnm").penalty_at(1.0).kind == "soft"
-    assert bench.config_for_method("how").penalty_at(1.0).kind == "how"
+    assert bench.config_for_method("nnm").penalty.kind == "soft"
+    assert bench.config_for_method("how").penalty.kind == "how"
     with pytest.raises(ValueError):
         bench.config_for_method("wnnm")

@@ -16,6 +16,7 @@ from sirmc import (
     SolverState,
     convergence_diagnostics,
     gen_synthetic,
+    generic,
     how,
     implicit_regularizer,
     prox_eval,
@@ -24,6 +25,7 @@ from sirmc import (
     soft_threshold,
     solve,
     SyntheticSpec,
+    welsch_generator,
 )
 from sirmc import bench, completion, spectral
 from sirmc.completion import update_e, update_m, update_multiplier_and_rho
@@ -105,32 +107,54 @@ class TestSolverConfig:
         for fraction in (1.0, 0.8, 0.05):
             bench.config_for_method(kind, shape_ratio=fraction * bound)
 
-    def test_penalty_at_couples_shape_to_threshold(self):
-        cfg = SolverConfig(family=how)
-        p = cfg.penalty_at(rho=4.0)
-        assert p.lam == 0.25
-        assert p.shape == pytest.approx(math.sqrt(2.0) * 0.25, rel=1e-14)
+    def test_unit_penalty_shrinks_as_the_penalty_at_each_threshold(self):
+        # lam * prox_1(sigma / lam) with how(1.0) is the prox of how at lam,
+        # whose shape sqrt(2) * lam scales with it.
+        rng = np.random.Generator(np.random.Philox(21))
+        Q1, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        unit = np.linspace(0.0, 6.0, 9)
+        for lam in np.logspace(-3.0, 3.0, 25):
+            D = (Q1[:, :9] * (lam * unit)) @ Q2.T
+            out = shrink_singular_values(D, how(1.0), scale=lam)
+            expected = shrink_singular_values(D, how(lam, math.sqrt(2.0) * lam))
+            assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected)), lam
+
+    def test_penalty_must_be_the_unit_penalty(self):
+        with pytest.raises(DomainError, match="unit penalty"):
+            SolverConfig(penalty=how(0.5))
+
+    def test_solve_builds_no_penalty(self, monkeypatch):
+        # The unit penalty, certified in SolverConfig, is the only one a solve uses.
+        cfg = bench.config_for_method("how", max_iters=20)
+        built = []
+        real = completion.Penalty.__post_init__
+        monkeypatch.setattr(completion.Penalty, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
+        solve(X_obs, cfg)
+        assert built == []
 
 
 class TestUpdateM:
     def test_first_iteration_shrinks_data(self):
         rng = np.random.Generator(np.random.Philox(3))
         X = _full(rng.standard_normal((6, 5)) * 50.0)
-        cfg = SolverConfig(family=how, rho0=1.0)
+        cfg = SolverConfig(rho0=1.0)
         state = SolverState.initial(X, cfg)
         out = update_m(state, X, cfg, _omega(X)).M
-        assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty_at(1.0)),
+        assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty),
                            atol=1e-12)
 
     def test_subthreshold_data_maps_to_zero(self):
         X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
-        cfg = SolverConfig(family=how, rho0=1e-2)
+        cfg = SolverConfig(rho0=1e-2)
         state = SolverState.initial(X, cfg)
         assert np.array_equal(update_m(state, X, cfg, _omega(X)).M, np.zeros((2, 2)))
 
     def test_two_by_two_diagonal_case(self):
         X = _full(np.array([[3.0, 0.0], [0.0, 0.5]]))
-        cfg = SolverConfig(family=how, rho0=1.0)
+        cfg = SolverConfig(rho0=1.0)
         state = SolverState.initial(X, cfg)
         out = update_m(state, X, cfg, _omega(X)).M
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
@@ -142,7 +166,7 @@ class TestUpdateM:
         rng = np.random.Generator(np.random.Philox(17))
         mask = np.array([[True, True, False], [True, False, True], [True, True, True]])
         X = ObservedMatrix(rng.standard_normal((3, 3)) * 2.0, mask)
-        cfg = SolverConfig(family=how, rho0=1.0)
+        cfg = SolverConfig(rho0=1.0)
         state = SolverState.initial(X, cfg)
         state.M = rng.standard_normal((3, 3))
         Lam = np.where(mask, rng.standard_normal((3, 3)) * 0.1, 0.0)
@@ -150,7 +174,7 @@ class TestUpdateM:
         E = np.where(mask, 0.0, -state.M)  # the implicit complement fill
         D = X.values - E + Lam / state.rho
         M_star = update_m(state, X, cfg, _omega(X)).M
-        penalty = cfg.penalty_at(state.rho)
+        penalty = cfg.penalty  # rho0 = 1: the threshold is 1
         grid_tol = penalty.lam / 200
 
         def objective(M):
@@ -235,7 +259,7 @@ class TestSolve:
     def test_fully_observed_converges_to_data(self):
         rng = np.random.Generator(np.random.Philox(5))
         X = _full(rng.standard_normal((20, 15)) * 3.0)
-        M, trace = solve(X, SolverConfig(family=soft_threshold))
+        M, trace = solve(X, SolverConfig(penalty=soft_threshold(1.0)))
         assert trace.rel_e[-1] <= 1e-7
         assert not trace.max_iters_reached
         assert np.linalg.norm(X.values - M) / np.linalg.norm(X.values) <= 1e-6
@@ -243,7 +267,7 @@ class TestSolve:
     def test_e_stays_zero_on_observed_set(self):
         spec = SyntheticSpec(m=20, n=15, f_r=0.1, f_m=0.3, seed=9)
         _, X_obs = gen_synthetic(spec)
-        cfg = SolverConfig(family=how, max_iters=40)
+        cfg = SolverConfig(max_iters=40)
         state = SolverState.initial(X_obs, cfg)
         off, omega = ~X_obs.mask, _omega(X_obs)
         for _ in range(10):
@@ -260,7 +284,7 @@ class TestSolve:
     def test_rho_schedule_is_exact_geometric(self):
         spec = SyntheticSpec(m=10, n=8, f_r=0.2, f_m=0.2, seed=1)
         _, X_obs = gen_synthetic(spec)
-        cfg = SolverConfig(family=soft_threshold, max_iters=30, xi=1e-30)
+        cfg = SolverConfig(penalty=soft_threshold(1.0), max_iters=30, xi=1e-30)
         _, trace = solve(X_obs, cfg)
         expected = SolverState.initial(X_obs, cfg).rho
         for rho_k in trace.rho:
@@ -270,7 +294,7 @@ class TestSolve:
     def test_nnm_first_iteration_is_svt(self):
         rng = np.random.Generator(np.random.Philox(8))
         X = _full(rng.standard_normal((8, 6)) * 4.0)
-        cfg = SolverConfig(family=soft_threshold, rho0=1.0, max_iters=1, xi=1e-30)
+        cfg = SolverConfig(penalty=soft_threshold(1.0), rho0=1.0, max_iters=1, xi=1e-30)
         M, trace = solve(X, cfg)
         U, s, Vh = np.linalg.svd(X.values, full_matrices=False)
         svt = U @ np.diag(np.maximum(s - 1.0, 0.0)) @ Vh
@@ -294,7 +318,7 @@ class TestSolve:
         # roundoff floor keeps the loop from stopping first.
         rng = np.random.Generator(np.random.Philox(4))
         X = _full(rng.standard_normal((4, 4)) * 2.0)
-        cfg = SolverConfig(family=soft_threshold, rho0=1e-5, mu=1e200,
+        cfg = SolverConfig(penalty=soft_threshold(1.0), rho0=1e-5, mu=1e200,
                            xi=1e-320, max_iters=10)
         with pytest.raises(NonFiniteIterate):
             solve(X, cfg)
@@ -304,7 +328,7 @@ class TestSolve:
         spec = SyntheticSpec(m=300, n=200, f_r=1.0 / 200, f_m=0.3, seed=77)
         X_full, X_obs = gen_synthetic(spec)
         assert spec.rank == 1
-        M, trace = solve(X_obs, SolverConfig(family=how))
+        M, trace = solve(X_obs, SolverConfig())
         assert rmse(X_full, M) < 1e-3
         assert convergence_diagnostics(trace) == ()
         assert trace.delta_m[-1] < 1e-6 * trace.norm_x
@@ -357,7 +381,7 @@ class TestConvergenceDiagnostics:
     def test_no_false_flag_on_files_instances(self, seed):
         # The benchmark's files workload: 1000x80, rank 2, 30% missing.
         _, X_obs = gen_synthetic(SyntheticSpec(1000, 80, 0.025, 0.3, seed=seed))
-        _, trace = solve(X_obs, SolverConfig(family=how))
+        _, trace = solve(X_obs, SolverConfig())
         assert convergence_diagnostics(trace) == ()
 
 
@@ -372,7 +396,7 @@ def _reference_solve(X, config):
     rho = SolverState.initial(X, config).rho
     rel_e = []
     while True:
-        M = shrink_singular_values(X.values - E + Lam / rho, config.penalty_at(rho))
+        M = shrink_singular_values(X.values - E + Lam / rho, config.penalty, scale=1.0 / rho)
         E = np.where(X.mask, 0.0, Lam / rho - M)
         residual = X.values - M - E
         rel_e.append(float(np.linalg.norm(residual)) / norm_x)
@@ -396,15 +420,18 @@ def test_solve_matches_dense_reference(method):
 
 @pytest.mark.parametrize("method", ["how", "hoc", "hog"])
 def test_generator_twin_solves_like_its_closed_form(method):
-    # A hybrid kind is the splice of its generator: at every threshold a solve
-    # visits, the generated twin's prox is bitwise the named family's, so the
-    # two solve alike step for step.
-    family = bench.config_for_method(method).family
-    xs = np.linspace(0.0, 12.0, 4801)
-    for lam in np.logspace(-3.0, 3.0, 61):
-        twin = GENERATOR_TWINS[method](lam)
-        assert twin.kind == "generic"
-        assert np.array_equal(prox_eval(twin, lam * xs), prox_eval(family(lam), lam * xs))
+    # A hybrid kind is the splice of its generator: the generated twin's unit
+    # prox is bitwise the named kind's, and a solve shrinks at every threshold
+    # with the unit prox alone, so the two solve alike step for step.
+    penalty = bench.config_for_method(method).penalty
+    twin = GENERATOR_TWINS[method](1.0)
+    assert twin.kind == "generic"
+    xs = np.concatenate([np.linspace(0.0, 12.0, 4801), np.logspace(-3.0, 3.0, 61)])
+    assert np.array_equal(prox_eval(twin, xs), prox_eval(penalty, xs))
+    _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
+    M, trace = solve(X_obs, SolverConfig(penalty=penalty))
+    M_twin, trace_twin = solve(X_obs, SolverConfig(penalty=twin))
+    assert trace_twin.iters == trace.iters and np.array_equal(M_twin, M)
 
 
 def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
@@ -417,7 +444,7 @@ def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        _, trace = completion.solve(X_obs, SolverConfig(family=how, mu=1.3))
+        _, trace = completion.solve(X_obs, SolverConfig(mu=1.3))
     finally:
         tracer.uninstall()
     counts = Counter(span[2] for span in tracer.spans)
@@ -538,17 +565,18 @@ class TestDefaultRho0:
             SolverState.initial(X, SolverConfig())
 
     def test_huge_data_keeps_its_scale(self):
-        # The norm estimate squares the data's scale; at 1e75 the solve must
-        # still recover as at 1, and at 1e76 the first penalty's own bound,
-        # not a false zero norm, stops it.
+        # The norm estimate squares the data's scale, and the unit penalty
+        # holds no threshold that could overflow; up to 1e150 the solve must
+        # still recover as at 1. At 1e153 ||P_O X||_F overflows, and a typed
+        # error, not a false early stop on rel_E = feas / inf = 0, ends it.
         _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
         M, trace = solve(X_obs, SolverConfig())
-        big = ObservedMatrix(X_obs.values * 1e75, X_obs.mask)
-        M_big, trace_big = solve(big, SolverConfig())
-        assert trace_big.iters == trace.iters and not trace_big.max_iters_reached
-        assert np.max(np.abs(M_big - 1e75 * M)) <= 1e-12 * 1e75 * np.max(np.abs(M))
-        with pytest.raises(DomainError, match="overflow the loss"):
-            solve(ObservedMatrix(X_obs.values * 1e76, X_obs.mask), SolverConfig())
+        for c in (1e75, 1e150):
+            M_big, trace_big = solve(ObservedMatrix(X_obs.values * c, X_obs.mask), SolverConfig())
+            assert trace_big.iters == trace.iters and not trace_big.max_iters_reached
+            assert np.max(np.abs(M_big - c * M)) <= 1e-12 * c * np.max(np.abs(M))
+        with pytest.raises(DomainError, match="overflows"):
+            solve(ObservedMatrix(X_obs.values * 1e153, X_obs.mask), SolverConfig())
 
     def test_first_shrinks_certify_on_the_protocol_cell(self):
         # The first threshold sits among the data's top singular values, and
@@ -559,12 +587,13 @@ class TestDefaultRho0:
             assert "dense" not in trace.route, method
 
 
-@pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
+@pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog", "generic-welsch"])
 def test_solve_is_scale_equivariant(method):
     # solve(cX) takes the same iterations as solve(X) and returns c * M(X)
     # within 1e-12 relative (measured: at most 2.2e-15).
     _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
-    cfg = bench.config_for_method(method)
+    cfg = (SolverConfig(penalty=generic(1.0, welsch_generator(math.sqrt(2.0))))
+           if method == "generic-welsch" else bench.config_for_method(method))
     M, trace = solve(X_obs, cfg)
     for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
         M_c, trace_c = solve(ObservedMatrix(X_obs.values * c, X_obs.mask), cfg)
@@ -589,7 +618,7 @@ def test_zero_filled_input_flag_on_early_convergence():
     # A rank-1 matrix under a first threshold far below its norm: the second
     # iteration returns it exactly, without any shrink keeping every value.
     X = _full(np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
-    _, trace = solve(X, SolverConfig(family=soft_threshold, rho0=1e3))
+    _, trace = solve(X, SolverConfig(penalty=soft_threshold(1.0), rho0=1e3))
     assert trace.iters <= completion.EARLY_ITERS and not trace.max_iters_reached
     assert max(trace.kept_rank) < min(X.shape)
     assert "zero_filled_input" in convergence_diagnostics(trace)

@@ -69,6 +69,14 @@ class TestValidate:
         with pytest.raises(DomainError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: Penalty("how", 1.0, 0.5, generator=cauchy_generator(1.0)),
+        lambda: make_penalty("hoc", 1.0, generator=cauchy_generator(1.0))])
+    def test_generator_given_to_a_named_kind_is_a_typed_error(self, build):
+        # A named kind builds its generator from its shape; only generic takes one.
+        with pytest.raises(DomainError, match="only generic takes a generator"):
+            build()
+
     @pytest.mark.parametrize("build", [lambda: how(1e200), lambda: hoc(1e200),
                                        lambda: hog(1e100), lambda: soft_threshold(1e200),
                                        lambda: how(1.0, 1e200)])
@@ -140,6 +148,16 @@ class TestLossValues:
         value = loss_eval(hog(lam), 10.0 * lam)
         assert math.isfinite(value)
         assert value == pytest.approx(lam * lam * loss_eval(hog(1.0), 10.0), rel=1e-12)
+
+    def test_hog_tail_has_no_cancellation_at_a_small_tau(self):
+        # a = (lam^2 + 4 tau^2)^2 / (8 tau^2) is ~3e7 here; the tail must match
+        # the cancellation-free form, not a*h + b with h's constant cancelled.
+        lam, tau = 1.0, 1e-4 * math.sqrt(3.0) / 2.0
+        t2 = 4.0 * tau * tau
+        a = (lam * lam + t2) ** 2 / (2.0 * t2)  # lam / h'(lam)
+        xs = np.array([1.5, 3.0])
+        expected = lam * lam / 2 + a * t2 * (xs**2 - lam**2) / ((xs**2 + t2) * (lam**2 + t2))
+        np.testing.assert_allclose(loss_eval(hog(lam, tau), xs), expected, rtol=1e-13, atol=0)
 
     def test_soft_loss_is_huber(self):
         p = soft_threshold(1.0)
