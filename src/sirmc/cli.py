@@ -223,14 +223,7 @@ def cmd_prox_curve(args) -> int:
 
 def cmd_selftest(args) -> int:
     from . import selftest  # imported here, so other commands skip its load
-    prox = None
-    if args.inject_prox_bias is not None:
-        offset = args.inject_prox_bias
-
-        def prox(p, x, _offset=offset):
-            return np.asarray(penalties.prox_eval(p, x)) + _offset
-
-    results = selftest.run_selftest(prox=prox)
+    results = selftest.run_selftest()
     all_passed = all(r.passed for r in results)
     if args.json:
         report = {
@@ -288,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the oracle/invariant suites")
     p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-    p.add_argument("--inject-prox-bias", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
     return parser

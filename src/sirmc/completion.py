@@ -8,10 +8,13 @@ iteration shrinks the singular values of D, M with the observed entries set
 to X + Lambda/rho, as lam * prox_1(sigma / lam) at lam = 1/rho with prox_1
 the unit penalty's, forms the residual r = X - M on the observed set that
 the implicit E leaves, takes the multiplier step Lambda += rho * r and grows
-rho geometrically. With the
-soft-threshold penalty this is a nuclear-norm-minimization baseline built
-on the exact same scaffold, so benchmark comparisons vary only the
-regularizer.
+rho geometrically. With the soft-threshold penalty this is a
+nuclear-norm-minimization baseline built on the exact same scaffold, so
+benchmark comparisons vary only the regularizer.
+
+The iteration is homogeneous in the data, so the loop runs at unit scale,
+on X / 2^e with max|X| in [2^(e-1), 2^e) and at rho * 2^e; a power of two is
+exact, so the answer does not depend on the data's scale.
 
 The state also carries V, the right singular vectors of M's nonzero
 singular values. Each shrink starts from it and, when that certifies,
@@ -22,6 +25,7 @@ records how many survived and which route the shrink took.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -74,10 +78,6 @@ class ObservedMatrix:
     def n_observed(self) -> int:
         return int(self.mask.sum())
 
-    def frob_norm(self) -> float:
-        with np.errstate(over="ignore"):  # inf, not a warning, when the squares overflow
-            return float(np.linalg.norm(self.values))
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -85,7 +85,8 @@ class SolverConfig:
     (mu = 1.05, xi = 1e-7, 1000 iterations). The schedule start is otherwise
     unspecified; rho0 = None starts it at the data's scale, rho0 = 1/||P_O X||_2
     as in inexact ALM (Lin, Chen & Ma 2010), with the norm estimated by
-    spectral.norm_estimate when the solve starts. A given rho0 is used as is.
+    spectral.norm_estimate when the solve starts. A given rho0 is used as is,
+    in data units: the unit-scale loop runs at rho0 * 2^e.
     penalty is the unit penalty, at lam = 1 (default: penalties.how(1.0), at
     its strict shape), validated here once; iteration k shrinks with
     lam_k * prox_1(sigma / lam_k) at lam_k = 1/rho_k, the prox of the penalty
@@ -153,7 +154,8 @@ class IterTrace:
     numerator). kept_rank is the number of singular values above the
     threshold 1/rho, and route the SvdTriplet route each shrink took
     ("truncated", "gram" or "dense"); the CSV writes it as two 0/1 columns,
-    dense_svd and gram_svd, so the file stays all-numeric.
+    dense_svd and gram_svd, so the file stays all-numeric. norm_x, feas,
+    delta_m and rho are in data units (see solve); rel_e is scale-free.
     """
 
     rel_e: list = field(default_factory=list)
@@ -184,24 +186,25 @@ class IterTrace:
                 )
 
 
-def update_m(state: SolverState, X: ObservedMatrix, config: SolverConfig,
+def update_m(state: SolverState, x: np.ndarray, config: SolverConfig,
              omega: np.ndarray) -> Shrinkage:
     """Estimate update: singular-value shrinkage at threshold 1/rho of D = X - E +
-    Lambda/rho, which with the implicit E is X + Lambda/rho on the observed set (flat
-    index omega) and M off it, warm-started from the estimate's right singular vectors."""
+    Lambda/rho, which with the implicit E is x + Lambda/rho on the observed set (flat
+    index omega, x the observed values in its order) and M off it, warm-started from
+    the estimate's right singular vectors."""
     D = state.M.copy()
-    np.put(D, omega, X.values.take(omega) + state.Lambda / state.rho)
+    np.put(D, omega, x + state.Lambda / state.rho)
     return shrink_singular_values(D, config.penalty, start=state.V, scale=1.0 / state.rho)
 
 
-def update_e(M_new: np.ndarray, X: ObservedMatrix, omega: np.ndarray) -> np.ndarray:
+def update_e(M_new: np.ndarray, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """E-step in closed form, returned as the residual X - M - E it leaves.
 
     The exact minimizer of the E-subproblem is E = Lambda/rho - M off the
     observed set and 0 on it; with Lambda zero off the set that is -M, so
-    the residual is 0 off the set, and X - M on it, returned in omega's order.
+    the residual is 0 off the set, and x - M on it, returned in omega's order.
     """
-    return X.values.take(omega) - M_new.take(omega)
+    return x - M_new.take(omega)
 
 
 def update_multiplier_and_rho(state: SolverState, residual: np.ndarray,
@@ -215,23 +218,37 @@ def update_multiplier_and_rho(state: SolverState, residual: np.ndarray,
     )
 
 
+def _ldexp_finite(values, e: int, what: str) -> np.ndarray:
+    """values * 2^e, exact while it stays a normal double; a DomainError if it is not finite."""
+    peak = float(np.max(np.abs(values)))
+    if not (math.isfinite(peak) and math.frexp(peak)[1] + e <= sys.float_info.max_exp):
+        raise DomainError(f"{what} overflows a double at the data's scale; rescale the data")
+    return np.ldexp(values, e)
+
+
 def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     """Run the ADMM loop until rel_E <= xi or max_iters; returns (M, trace).
 
-    Hitting the iteration cap is not an error: the trace carries a
+    The loop runs at unit scale; M and the trace come back in data units,
+    and a DomainError says that ||P_O X||_F, rho0 or one of them does not
+    fit a double at the data's scale. Hitting the iteration cap is not an error: the trace carries a
     max_iters_reached flag. Non-finite iterates abort with NonFiniteIterate.
     The loop runs under blas.per_solve's count: one BLAS thread for a small matrix.
     """
     config = SolverConfig() if config is None else config
-    norm_x = X.frob_norm()
-    if norm_x == 0.0:
-        raise ZeroNormInput("all observed entries are zero; relative error undefined")
-    if not math.isfinite(norm_x):
-        raise DomainError("||P_O X||_F overflows; rescale the data")
-
-    state = SolverState.initial(X, config)
-    trace = IterTrace(norm_x=norm_x, full_rank=min(X.shape))
     omega = np.flatnonzero(X.mask)
+    peak = float(np.max(np.abs(X.values)))  # 0 off the observed set
+    if peak == 0.0:
+        raise ZeroNormInput("all observed entries are zero; relative error undefined")
+    e = math.frexp(peak)[1]
+    x = np.ldexp(X.values.take(omega), -e)
+    norm_x = float(np.linalg.norm(np.ldexp(X.values, -e)))  # zero-filled m x n: keeps rel_E's last bit
+    trace = IterTrace(norm_x=float(_ldexp_finite(norm_x, e, "||P_O X||_F")),
+                      full_rank=min(X.shape))
+    state = SolverState.initial(X, config)
+    state.rho = float(_ldexp_finite(state.rho, e, "rho0"))
+    if state.rho == 0.0:
+        raise DomainError(f"rho0 {config.rho0!r} underflows at the data's scale")
 
     with blas.limit(blas.per_solve(X.values.size)):
         trace.blas_threads = blas.threads()
@@ -241,14 +258,14 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
             if not math.isfinite(rho_k):
                 raise NonFiniteIterate(f"rho overflowed at iteration {trace.iters + 1}")
             try:
-                shrunk = update_m(state, X, config, omega)
+                shrunk = update_m(state, x, config, omega)
             except NonFiniteInput as exc:
                 raise NonFiniteIterate(
                     f"iterates went non-finite at iteration {trace.iters + 1}: {exc}"
                 ) from exc
             if not shrunk.finite:
                 raise NonFiniteIterate(f"estimate went non-finite at iteration {trace.iters + 1}")
-            residual = update_e(shrunk.M, X, omega)
+            residual = update_e(shrunk.M, x, omega)
             delta_m = float(np.linalg.norm(shrunk.M - state.M))
             state.M, state.V = shrunk.M, shrunk.V
             feas = float(np.linalg.norm(residual))
@@ -270,7 +287,10 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
                 trace.max_iters_reached = True
                 break
 
-    return state.M, trace
+    trace.delta_m = _ldexp_finite(trace.delta_m, e, "delta_M").tolist()
+    trace.feas = _ldexp_finite(trace.feas, e, "feas").tolist()
+    trace.rho = _ldexp_finite(trace.rho, -e, "rho").tolist()
+    return _ldexp_finite(state.M, e, "the estimate M"), trace
 
 
 DIAGNOSTIC_WINDOW = 10   # trailing iterations over which feasibility must fall

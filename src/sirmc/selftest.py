@@ -1,15 +1,13 @@
 """Built-in oracle and invariant suites, runnable from the CLI.
 
 Each suite checks one family of contracts on the four named penalties at
-threshold 1 with their strict boundary shapes. The prox under test can
-be overridden (the CLI uses that as a negative-control hook); everything
-else is evaluated through the package's public API.
+threshold 1 with their strict boundary shapes, through the package's
+public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,59 +38,53 @@ def _result(name, passed, detail) -> SuiteResult:
     return SuiteResult(name, bool(passed), detail)
 
 
-def suite_oddness(prox: Callable) -> SuiteResult:
+def suite_oddness() -> SuiteResult:
     xs = np.linspace(0.0, 12.0, 4001)
     worst = 0.0
     for p in default_penalties():
-        diff = np.abs(np.asarray(prox(p, -xs)) + np.asarray(prox(p, xs)))
+        diff = np.abs(np.asarray(prox_eval(p, -xs)) + np.asarray(prox_eval(p, xs)))
         worst = max(worst, float(diff.max()))
     return _result("prox_oddness", worst == 0.0, f"max |P(-x)+P(x)| = {worst:.3g}")
 
 
-def suite_thresholding(prox: Callable) -> SuiteResult:
+def suite_thresholding() -> SuiteResult:
     xs = np.linspace(-10.0, 10.0, 10001)  # lam = 1
-    ok = True
     detail = []
     for p in default_penalties():
-        vals = np.asarray(prox(p, xs))
+        vals = np.asarray(prox_eval(p, xs))
         inside = np.abs(xs) <= p.lam
         zero_inside = np.all(vals[inside] == 0.0)
         nonzero_outside = np.all(vals[~inside] != 0.0)
         if not (zero_inside and nonzero_outside):
-            ok = False
             detail.append(f"{p.kind}: inside-zero={zero_inside} outside-nonzero={nonzero_outside}")
-    return _result("prox_thresholding", ok, "; ".join(detail) or "P(x)=0 iff |x|<=lam on 10^4 points")
+    return _result("prox_thresholding", not detail, "; ".join(detail) or "P(x)=0 iff |x|<=lam on 10^4 points")
 
 
-def suite_monotone(prox: Callable) -> SuiteResult:
+def suite_monotone() -> SuiteResult:
     xs = np.linspace(-10.0, 10.0, 10001)
-    ok = True
     detail = []
     for p in default_penalties():
-        vals = np.asarray(prox(p, xs))
+        vals = np.asarray(prox_eval(p, xs))
         if np.any(np.diff(vals) < 0.0):
-            ok = False
             detail.append(p.kind)
-    return _result("prox_monotone", ok,
-                   "nondecreasing on sampled grid" if ok else f"decreasing: {detail}")
+    return _result("prox_monotone", not detail,
+                   f"decreasing: {detail}" if detail else "nondecreasing on sampled grid")
 
 
-def suite_bias_dominance(prox: Callable) -> SuiteResult:
+def suite_bias_dominance() -> SuiteResult:
     xs = np.linspace(1.0, 10.0, 2001)  # x >= lam = 1
-    ok = True
     detail = []
     for p in default_penalties():
-        b = xs - np.asarray(prox(p, xs))
+        b = xs - np.asarray(prox_eval(p, xs))
         at_lam_exact = b[0] == p.lam
         bounded = np.all(b <= p.lam + 1e-12)
         nonincreasing = p.kind == "soft" or np.all(np.diff(b) <= 1e-12)
         if not (at_lam_exact and bounded and nonincreasing):
-            ok = False
             detail.append(f"{p.kind}: at_lam={at_lam_exact} bounded={bounded} dec={nonincreasing}")
-    return _result("bias_dominance", ok, "; ".join(detail) or "bias(lam)=lam, <=lam, nonincreasing")
+    return _result("bias_dominance", not detail, "; ".join(detail) or "bias(lam)=lam, <=lam, nonincreasing")
 
 
-def suite_loss_smoothness(prox: Callable) -> SuiteResult:
+def suite_loss_smoothness() -> SuiteResult:
     ok = True
     details = []
     h = 1e-7
@@ -104,29 +96,27 @@ def suite_loss_smoothness(prox: Callable) -> SuiteResult:
         xs = np.linspace(-5.0, 5.0, 200)
         xs = xs[np.minimum(np.abs(xs - lam), np.abs(xs + lam)) > 1e-3]
         fd = (np.asarray(loss_eval(p, xs + 1e-4)) - np.asarray(loss_eval(p, xs - 1e-4))) / 2e-4
-        grad_gap = float(np.max(np.abs(fd - (xs - np.asarray(prox(p, xs))))))
-        if c1_gap > 1e-6 or grad_gap > 1e-5:
-            ok = False
+        grad_gap = float(np.max(np.abs(fd - (xs - np.asarray(prox_eval(p, xs))))))
+        ok &= c1_gap <= 1e-6 and grad_gap <= 1e-5
         details.append(f"{p.kind}: C1 gap {c1_gap:.2g}, grad gap {grad_gap:.2g}")
     return _result("loss_smoothness", ok, "; ".join(details))
 
 
-def suite_moreau_oracle(prox: Callable, n_points: int = 9) -> SuiteResult:
+def suite_moreau_oracle(n_points: int = 9) -> SuiteResult:
     ok = True
     details = []
     step = 1.0 / pen.ORACLE_STEP_DIV
     xs = np.linspace(-4.0, 4.0, n_points)
     for p in default_penalties():
         argmin, minval = moreau_argmin_oracle(p, xs)
-        arg_gap = float(np.max(np.abs(argmin - np.asarray(prox(p, xs)))))
+        arg_gap = float(np.max(np.abs(argmin - np.asarray(prox_eval(p, xs)))))
         val_gap = float(np.max(np.abs(minval - np.asarray(loss_eval(p, xs)))))
-        if arg_gap > step or val_gap > 1e-4:
-            ok = False
+        ok &= arg_gap <= step and val_gap <= 1e-4
         details.append(f"{p.kind}: arg {arg_gap:.2g}, val {val_gap:.2g}")
     return _result("moreau_oracle", ok, "; ".join(details))
 
 
-def suite_spectral(prox: Callable, seed: int = 0) -> SuiteResult:
+def suite_spectral(seed: int = 0) -> SuiteResult:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ok = True
     details = []
@@ -137,15 +127,14 @@ def suite_spectral(prox: Callable, seed: int = 0) -> SuiteResult:
             out = shrink_singular_values(D, p)
             s_in = np.linalg.svd(D, compute_uv=False)
             s_out = np.linalg.svd(out, compute_uv=False)
-            expected = np.sort(np.asarray(prox(p, s_in)))[::-1]
+            expected = np.sort(np.asarray(prox_eval(p, s_in)))[::-1]
             worst_spec = max(worst_spec, float(np.max(np.abs(s_out - expected))))
             Q1, _ = np.linalg.qr(rng.standard_normal((12, 12)))
             Q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
             rotated = shrink_singular_values(Q1 @ D @ Q2.T, p)
             worst_unitary = max(worst_unitary, float(np.max(np.abs(rotated - Q1 @ out @ Q2.T))))
         zero_ok = np.all(shrink_singular_values(0.5 * np.eye(6), p) == 0.0)
-        if worst_spec > 1e-8 or worst_unitary > 1e-8 or not zero_ok:
-            ok = False
+        ok &= worst_spec <= 1e-8 and worst_unitary <= 1e-8 and bool(zero_ok)
         details.append(f"{p.kind}: spec {worst_spec:.2g}, unit {worst_unitary:.2g}")
     return _result("spectral_shrinkage", ok, "; ".join(details))
 
@@ -173,12 +162,11 @@ TRUNCATION_CASES = {
 }
 
 
-def suite_truncated_shrink(prox: Callable, seed: int = 0) -> SuiteResult:
+def suite_truncated_shrink(seed: int = 0) -> SuiteResult:
     """The warm-started shrink, which truncates the SVD or takes the Gram
     route when one certifies, against the dense one on planted 200x120
     spectra: the same number of kept values and outputs within 1e-10 * sigma_1."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    ok = True
     worst = 0.0
     routes = dict.fromkeys(("truncated", "gram", "dense"), 0)
     details = []
@@ -190,24 +178,23 @@ def suite_truncated_shrink(prox: Callable, seed: int = 0) -> SuiteResult:
             err = float(np.max(np.abs(out.M - shrink_singular_values(D, p)))) / s[0]
             worst = max(worst, err)
             routes[out.route] += 1
-            if out.rank != np.count_nonzero(np.asarray(prox(p, s))) or err > 1e-10:
-                ok = False
+            if out.rank != np.count_nonzero(np.asarray(prox_eval(p, s))) or err > 1e-10:
                 details.append(f"{name}/{p.kind}: kept {out.rank}, error {err:.2g}")
+    ok = not details
     details.append(", ".join(f"{n} {route}" for route, n in routes.items())
                    + f" of {sum(routes.values())}; worst error {worst:.2g} * sigma_1")
     return _result("truncated_shrink", ok, "; ".join(details))
 
 
-def run_selftest(prox: Optional[Callable] = None) -> list[SuiteResult]:
+def run_selftest() -> list[SuiteResult]:
     """Run every suite; returns one result per suite."""
-    prox = prox_eval if prox is None else prox
     return [
-        suite_oddness(prox),
-        suite_thresholding(prox),
-        suite_monotone(prox),
-        suite_bias_dominance(prox),
-        suite_loss_smoothness(prox),
-        suite_moreau_oracle(prox),
-        suite_spectral(prox),
-        suite_truncated_shrink(prox),
+        suite_oddness(),
+        suite_thresholding(),
+        suite_monotone(),
+        suite_bias_dominance(),
+        suite_loss_smoothness(),
+        suite_moreau_oracle(),
+        suite_spectral(),
+        suite_truncated_shrink(),
     ]

@@ -2,14 +2,16 @@
 
 import argparse
 import json
+import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from sirmc import blas, cli, load_observed, rmse, save_matrix
+from sirmc import SyntheticSpec, blas, cli, gen_synthetic, load_observed, rmse, save_matrix
 from sirmc.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -98,12 +100,51 @@ class TestComplete:
                      str(tmp_path / "o.csv")])
         assert code == 1
 
+    def test_data_scale_sets_only_the_units(self, tmp_path):
+        # At 1e-200 the squares of the data underflow, and at 1e307 its
+        # ||P_O X||_F overflows: the first completes as at scale 1, the
+        # second is one error line, not a traceback.
+        _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
+        runs = {}
+        for c in (1.0, 1e-200, 1e307):
+            inp = _write_matrix(tmp_path / f"in{c:g}.csv", X_obs.values * c, X_obs.mask)
+            out = tmp_path / f"out{c:g}.csv"
+            runs[c] = subprocess.run([sys.executable, "-m", "sirmc", "complete", inp,
+                                      "--out", str(out)], capture_output=True, text=True)
+        assert [runs[c].returncode for c in runs] == [0, 0, 1]
+        assert runs[1e307].stderr.splitlines() == [
+            "error: ||P_O X||_F overflows a double at the data's scale; rescale the data"]
+        M1 = load_observed(str(tmp_path / "out1.csv")).values
+        M = load_observed(str(tmp_path / "out1e-200.csv")).values
+        assert np.max(np.abs(M / 1e-200 - M1)) <= 1e-12 * np.max(np.abs(M1))
+        trace1, trace = (np.loadtxt(tmp_path / f"out{c:g}.csv.trace.csv", delimiter=",",
+                                    skiprows=1, ndmin=2) for c in (1.0, 1e-200))
+        assert trace.shape == trace1.shape
+        # feas in data units, rho in inverse data units
+        np.testing.assert_allclose(trace[:, 3] / 1e-200, trace1[:, 3], rtol=1e-9)
+        np.testing.assert_allclose(trace[:, 4] * 1e-200, trace1[:, 4], rtol=1e-12)
+
     def test_iteration_cap_exit_code(self, tmp_path, rng):
         X = rng.standard_normal((8, 6)) * 5.0
         inp = _write_matrix(tmp_path / "in.csv", X)
         code = main(["complete", inp, "--max-iters", "2", "--out",
                      str(tmp_path / "o.csv")])
         assert code == 2
+
+
+def test_demo_fixture_is_what_its_script_writes(tmp_path):
+    # The script writes next to its own directory: run a copy, so the
+    # checked-in fixture is compared, not overwritten.
+    (tmp_path / "scripts").mkdir()
+    script = shutil.copy(REPO / "scripts" / "make_demo_data.py", tmp_path / "scripts")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in (tmp_path / "data").iterdir())
+    assert written == sorted(p.name for p in (REPO / "data").glob("*.csv"))
+    for name in written:
+        assert (tmp_path / "data" / name).read_bytes() == (REPO / "data" / name).read_bytes()
 
 
 class TestSweep:
@@ -277,8 +318,12 @@ class TestSelftest:
             "spectral_shrinkage", "truncated_shrink"}
 
     @pytest.mark.slow
-    def test_corrupted_prox_fails(self):
-        code = main(["selftest", "--inject-prox-bias", "0.05"])
+    def test_corrupted_prox_fails(self, monkeypatch):
+        # Negative control: the suites must catch a prox biased by +0.05.
+        from sirmc import penalties, selftest
+        monkeypatch.setattr(selftest, "prox_eval",
+                            lambda p, x: np.asarray(penalties.prox_eval(p, x)) + 0.05)
+        code = main(["selftest"])
         assert code == 3
 
 

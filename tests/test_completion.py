@@ -50,9 +50,11 @@ def _full(values):
     return ObservedMatrix(values, np.ones_like(values, dtype=bool))
 
 
-def _omega(X):
-    """The observed set's flat index, the order of Lambda and the residual."""
-    return np.flatnonzero(X.mask)
+def _observed(X):
+    """The observed values and the observed set's flat index, the order of
+    Lambda and the residual: what solve passes to update_m and update_e."""
+    omega = np.flatnonzero(X.mask)
+    return X.values.take(omega), omega
 
 
 def _on_grid(vector, X):
@@ -142,7 +144,8 @@ class TestUpdateM:
         X = _full(rng.standard_normal((6, 5)) * 50.0)
         cfg = SolverConfig(rho0=1.0)
         state = SolverState.initial(X, cfg)
-        out = update_m(state, X, cfg, _omega(X)).M
+        x, omega = _observed(X)
+        out = update_m(state, x, cfg, omega).M
         assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty),
                            atol=1e-12)
 
@@ -150,13 +153,15 @@ class TestUpdateM:
         X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
         cfg = SolverConfig(rho0=1e-2)
         state = SolverState.initial(X, cfg)
-        assert np.array_equal(update_m(state, X, cfg, _omega(X)).M, np.zeros((2, 2)))
+        x, omega = _observed(X)
+        assert np.array_equal(update_m(state, x, cfg, omega).M, np.zeros((2, 2)))
 
     def test_two_by_two_diagonal_case(self):
         X = _full(np.array([[3.0, 0.0], [0.0, 0.5]]))
         cfg = SolverConfig(rho0=1.0)
         state = SolverState.initial(X, cfg)
-        out = update_m(state, X, cfg, _omega(X)).M
+        x, omega = _observed(X)
+        out = update_m(state, x, cfg, omega).M
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
 
     def test_optimality_against_regularizer_oracle(self):
@@ -173,7 +178,8 @@ class TestUpdateM:
         state.Lambda = Lam[mask]
         E = np.where(mask, 0.0, -state.M)  # the implicit complement fill
         D = X.values - E + Lam / state.rho
-        M_star = update_m(state, X, cfg, _omega(X)).M
+        x, omega = _observed(X)
+        M_star = update_m(state, x, cfg, omega).M
         penalty = cfg.penalty  # rho0 = 1: the threshold is 1
         grid_tol = penalty.lam / 200
 
@@ -196,7 +202,7 @@ class TestUpdateE:
         mask = np.array([[True, False], [False, True]])
         X = ObservedMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]), mask)
         M_new = np.full((2, 2), 0.7)
-        residual = _on_grid(update_e(M_new, X, _omega(X)), X)
+        residual = _on_grid(update_e(M_new, *_observed(X)), X)
         assert np.array_equal(residual[mask], X.values[mask] - 0.7)
         assert np.array_equal(residual[~mask], np.zeros(2))
         E = X.values - M_new - residual
@@ -205,13 +211,13 @@ class TestUpdateE:
 
     def test_fully_observed_gives_zero(self):
         X = _full(np.ones((3, 3)))
-        assert np.array_equal(_on_grid(update_e(np.ones((3, 3)), X, _omega(X)), X),
+        assert np.array_equal(_on_grid(update_e(np.ones((3, 3)), *_observed(X)), X),
                               np.zeros((3, 3)))
 
     def test_single_cell_formula(self):
         mask = np.array([[True, False]])
         X = ObservedMatrix(np.array([[1.0, 0.0]]), mask)
-        residual = _on_grid(update_e(np.array([[0.5, 0.25]]), X, _omega(X)), X)
+        residual = _on_grid(update_e(np.array([[0.5, 0.25]]), *_observed(X)), X)
         assert residual[0, 0] == 1.0 - 0.5
         assert residual[0, 1] == 0.0
 
@@ -226,7 +232,7 @@ class TestUpdateE:
         state = SolverState(M=rng.standard_normal((5, 4)),
                             Lambda=rng.standard_normal((5, 4))[mask], rho=2.5)
         M_new = rng.standard_normal((5, 4))
-        E_star = X.values - M_new - _on_grid(update_e(M_new, X, _omega(X)), X)
+        E_star = X.values - M_new - _on_grid(update_e(M_new, *_observed(X)), X)
         assert np.array_equal(E_star[mask], np.zeros(int(mask.sum())))
 
         def objective(E):
@@ -251,7 +257,7 @@ class TestMultiplierAndRho:
         mask = np.array([[True]])
         X = ObservedMatrix(np.array([[3.0]]), mask)
         state = SolverState(M=np.array([[1.0]]), Lambda=np.array([1.0]), rho=3.0)
-        new = update_multiplier_and_rho(state, update_e(state.M, X, _omega(X)), SolverConfig())
+        new = update_multiplier_and_rho(state, update_e(state.M, *_observed(X)), SolverConfig())
         assert new.Lambda[0] == pytest.approx(1.0 + 3.0 * 2.0, rel=1e-15)
 
 
@@ -269,10 +275,10 @@ class TestSolve:
         _, X_obs = gen_synthetic(spec)
         cfg = SolverConfig(max_iters=40)
         state = SolverState.initial(X_obs, cfg)
-        off, omega = ~X_obs.mask, _omega(X_obs)
+        off, (x, omega) = ~X_obs.mask, _observed(X_obs)
         for _ in range(10):
-            M_new = update_m(state, X_obs, cfg, omega).M
-            r = update_e(M_new, X_obs, omega)
+            M_new = update_m(state, x, cfg, omega).M
+            r = update_e(M_new, x, omega)
             residual = _on_grid(r, X_obs)
             E = X_obs.values - M_new - residual
             assert np.array_equal(E[X_obs.mask], np.zeros(X_obs.n_observed))
@@ -565,18 +571,18 @@ class TestDefaultRho0:
             SolverState.initial(X, SolverConfig())
 
     def test_huge_data_keeps_its_scale(self):
-        # The norm estimate squares the data's scale, and the unit penalty
-        # holds no threshold that could overflow; up to 1e150 the solve must
-        # still recover as at 1. At 1e153 ||P_O X||_F overflows, and a typed
-        # error, not a false early stop on rel_E = feas / inf = 0, ends it.
+        # The loop runs at unit scale, so data far above 1 recovers as at 1;
+        # at 1e153 the old loop's squares of ||P_O X||_F overflowed. At 1e307
+        # ||P_O X||_F itself is not a finite double, and a typed error, not a
+        # false early stop on rel_E = feas / inf = 0, ends the solve.
         _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
         M, trace = solve(X_obs, SolverConfig())
-        for c in (1e75, 1e150):
+        for c in (1e75, 1e150, 1e153):
             M_big, trace_big = solve(ObservedMatrix(X_obs.values * c, X_obs.mask), SolverConfig())
             assert trace_big.iters == trace.iters and not trace_big.max_iters_reached
             assert np.max(np.abs(M_big - c * M)) <= 1e-12 * c * np.max(np.abs(M))
         with pytest.raises(DomainError, match="overflows"):
-            solve(ObservedMatrix(X_obs.values * 1e153, X_obs.mask), SolverConfig())
+            solve(ObservedMatrix(X_obs.values * 1e307, X_obs.mask), SolverConfig())
 
     def test_first_shrinks_certify_on_the_protocol_cell(self):
         # The first threshold sits among the data's top singular values, and
@@ -590,15 +596,41 @@ class TestDefaultRho0:
 @pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog", "generic-welsch"])
 def test_solve_is_scale_equivariant(method):
     # solve(cX) takes the same iterations as solve(X) and returns c * M(X)
-    # within 1e-12 relative (measured: at most 2.2e-15).
+    # within 1e-12 relative (measured: at most 2.2e-15), from 1e-300 to 1e300.
     _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
     cfg = (SolverConfig(penalty=generic(1.0, welsch_generator(math.sqrt(2.0))))
            if method == "generic-welsch" else bench.config_for_method(method))
     M, trace = solve(X_obs, cfg)
-    for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+    for c in (1e-300, 1e-160, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e153, 1e300):
         M_c, trace_c = solve(ObservedMatrix(X_obs.values * c, X_obs.mask), cfg)
         assert trace_c.iters == trace.iters, c
-        assert np.linalg.norm(M_c - c * M) <= 1e-12 * np.linalg.norm(c * M), c
+        # Compared at unit scale: the norm of c * M overflows at c = 1e300.
+        assert np.linalg.norm(M_c / c - M) <= 1e-12 * np.linalg.norm(M), c
+
+
+def test_power_of_two_scaling_is_exact():
+    # Scaling by 2^k is exact, and the loop runs on the data divided by the
+    # power of two of its largest entry: solve(2^k X) is 2^k solve(X) bitwise,
+    # iteration for iteration, across the exponent range of the doubles.
+    _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
+    M, trace = solve(X_obs, SolverConfig())
+    for k in (-1000, -600, -1, 1, 600, 1000):
+        M_k, trace_k = solve(ObservedMatrix(np.ldexp(X_obs.values, k), X_obs.mask),
+                             SolverConfig())
+        assert trace_k.iters == trace.iters, k
+        assert np.array_equal(M_k, np.ldexp(M, k)), k
+        assert trace_k.rel_e == trace.rel_e, k
+        assert all(map(math.isfinite, trace_k.feas + trace_k.delta_m + trace_k.rho)), k
+
+
+def test_explicit_rho0_stays_in_data_units():
+    # A given rho0 is the data's; the trace's rho column is too.
+    _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
+    cfg = SolverConfig(rho0=0.3, max_iters=5, xi=1e-30)
+    _, trace = solve(ObservedMatrix(np.ldexp(X_obs.values, 40), X_obs.mask), cfg)
+    assert trace.rho[0] == 0.3
+    with pytest.raises(DomainError, match="underflows"):
+        solve(ObservedMatrix(X_obs.values * 1e-100, X_obs.mask), SolverConfig(rho0=1e-250))
 
 
 @pytest.mark.slow
