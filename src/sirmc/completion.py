@@ -12,9 +12,9 @@ rho geometrically. With the soft-threshold penalty this is a
 nuclear-norm-minimization baseline built on the exact same scaffold, so
 benchmark comparisons vary only the regularizer.
 
-The iteration is homogeneous in the data, so the loop runs at unit scale,
-on X / 2^e with max|X| in [2^(e-1), 2^e) and at rho * 2^e; a power of two is
-exact, so the answer does not depend on the data's scale.
+The iteration is homogeneous in the data, so the solve, its start included,
+runs at unit scale, on X / 2^e with max|X| in [2^(e-1), 2^e); a power of
+two is exact, so the answer does not depend on the data's scale.
 
 The state also carries V, the right singular vectors of M's nonzero
 singular values. Each shrink starts from it and, when that certifies,
@@ -84,9 +84,8 @@ class SolverConfig:
     """Solver knobs. Defaults follow the completion algorithm's constants
     (mu = 1.05, xi = 1e-7, 1000 iterations). The schedule start is otherwise
     unspecified; rho0 = None starts it at the data's scale, rho0 = 1/||P_O X||_2
-    as in inexact ALM (Lin, Chen & Ma 2010), with the norm estimated by
-    spectral.norm_estimate when the solve starts. A given rho0 is used as is,
-    in data units: the unit-scale loop runs at rho0 * 2^e.
+    as in inexact ALM (Lin, Chen & Ma 2010), estimated by solve at unit scale;
+    a given rho0 is in data units: the unit-scale loop runs at rho0 * 2^e.
     penalty is the unit penalty, at lam = 1 (default: penalties.how(1.0), at
     its strict shape), validated here once; iteration k shrinks with
     lam_k * prox_1(sigma / lam_k) at lam_k = 1/rho_k, the prox of the penalty
@@ -94,7 +93,7 @@ class SolverConfig:
     """
 
     penalty: Penalty = how(1.0)
-    rho0: Optional[float] = None  # None = 1 / ||P_O X||_2, resolved by SolverState.initial
+    rho0: Optional[float] = None  # None = 1 / ||P_O X||_2, resolved by solve
     mu: float = 1.05
     xi: float = 1e-7
     max_iters: int = 1000
@@ -115,7 +114,7 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """ADMM iterates: estimate M, multiplier Lambda, penalty rho.
+    """ADMM iterates M, Lambda, rho; solve starts them at 0, 0, rho0, at unit scale.
 
     Lambda is zero off the observed set, so it is stored as a vector over it,
     in the row-major order of np.flatnonzero(mask) (the solve's index omega).
@@ -132,17 +131,6 @@ class SolverState:
     def __post_init__(self):
         if self.V is None:
             self.V = np.zeros((self.M.shape[1], 0))
-
-    @classmethod
-    def initial(cls, X: ObservedMatrix, config: SolverConfig) -> "SolverState":
-        """M = Lambda = 0 at rho = config.rho0, or 1 / ||P_O X||_2 when that is None."""
-        rho = config.rho0
-        if rho is None:
-            norm = norm_estimate(X.values)
-            if norm == 0.0:
-                raise ZeroNormInput("all observed entries are zero; no scale to start from")
-            rho = 1.0 / norm
-        return cls(M=np.zeros(X.shape), Lambda=np.zeros(X.n_observed), rho=rho)
 
 
 @dataclass
@@ -229,11 +217,14 @@ def _ldexp_finite(values, e: int, what: str) -> np.ndarray:
 def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     """Run the ADMM loop until rel_E <= xi or max_iters; returns (M, trace).
 
-    The loop runs at unit scale; M and the trace come back in data units,
-    and a DomainError says that ||P_O X||_F, rho0 or one of them does not
-    fit a double at the data's scale. Hitting the iteration cap is not an error: the trace carries a
-    max_iters_reached flag. Non-finite iterates abort with NonFiniteIterate.
-    The loop runs under blas.per_solve's count: one BLAS thread for a small matrix.
+    The start and the loop run at unit scale: rho0 = 1/||P_O X||_2 from
+    spectral.norm_estimate, or 1/max|X| when its power steps find nothing
+    (|X_ij| <= ||P_O X||_2). M and the trace come back in data units, and a
+    DomainError says that ||P_O X||_F, rho0 or one of them does not fit a
+    double at the data's scale; all-zero data is a ZeroNormInput. Hitting
+    the cap is not an error: the trace carries a max_iters_reached flag.
+    Non-finite iterates abort with NonFiniteIterate. The loop runs under
+    blas.per_solve's count: one BLAS thread for a small matrix.
     """
     config = SolverConfig() if config is None else config
     omega = np.flatnonzero(X.mask)
@@ -241,14 +232,17 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     if peak == 0.0:
         raise ZeroNormInput("all observed entries are zero; relative error undefined")
     e = math.frexp(peak)[1]
-    x = np.ldexp(X.values.take(omega), -e)
-    norm_x = float(np.linalg.norm(np.ldexp(X.values, -e)))  # zero-filled m x n: keeps rel_E's last bit
+    unit = np.ldexp(X.values, -e)  # max|unit| in [1/2, 1)
+    x = unit.take(omega)
+    norm_x = float(np.linalg.norm(unit))  # zero-filled m x n: keeps rel_E's last bit
     trace = IterTrace(norm_x=float(_ldexp_finite(norm_x, e, "||P_O X||_F")),
                       full_rank=min(X.shape))
-    state = SolverState.initial(X, config)
-    state.rho = float(_ldexp_finite(state.rho, e, "rho0"))
-    if state.rho == 0.0:
+    rho = (1.0 / (norm_estimate(unit) or math.ldexp(peak, -e)) if config.rho0 is None
+           else float(_ldexp_finite(config.rho0, e, "rho0")))
+    if rho == 0.0:
         raise DomainError(f"rho0 {config.rho0!r} underflows at the data's scale")
+    del unit  # the loop reads x: one m x n array less at its peak
+    state = SolverState(M=np.zeros(X.shape), Lambda=np.zeros(omega.size), rho=rho)
 
     with blas.limit(blas.per_solve(X.values.size)):
         trace.blas_threads = blas.threads()

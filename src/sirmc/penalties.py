@@ -150,26 +150,36 @@ def make_penalty(kind: str, lam: float, shape: float | None = None,
     return Penalty(kind, lam, shape if kind in STRICT_SHAPE_RATIO else None, generator)
 
 
+def _far_out(f):
+    """f, with x^2 free to overflow to inf: the generators send that inf only
+    into a denominator, a clamp or a far-out form, so f returns its limit."""
+    return np.errstate(over="ignore")(f)
+
+
 def welsch_generator(sigma: float) -> GeneratorFunction:
     """h(x) = -sigma^2/2 * exp(-x^2/sigma^2), the Welsch loss less its constant
     sigma^2/2; generates the "how" kind. With the constant, a*h + b would cancel
     to nothing at a small sigma, where a = exp(lam^2/sigma^2) is huge."""
     s2 = float(sigma) * float(sigma)
+    # Clamped where exp(-q) is already 0, so that (1 - 2q) * exp(-q) is not inf * 0.
+    q = _far_out(lambda x: np.minimum(np.square(x) / s2, 1e3))
     return GeneratorFunction(
-        h=lambda x: -0.5 * s2 * np.exp(-np.square(x) / s2),
-        h_prime=lambda x: x * np.exp(-np.square(x) / s2),
-        h_second=lambda x: (1.0 - 2.0 * np.square(x) / s2) * np.exp(-np.square(x) / s2),
+        h=lambda x: -0.5 * s2 * np.exp(-q(x)),
+        h_prime=lambda x: x * np.exp(-q(x)),
+        h_second=lambda x: (1.0 - 2.0 * q(x)) * np.exp(-q(x)),
         name="welsch",
     )
 
 
 def cauchy_generator(gamma: float) -> GeneratorFunction:
-    """h(x) = log(1 + x^2/gamma^2); generates the "hoc" kind."""
+    """h(x) = log(1 + x^2/gamma^2), log(x^2) - log(gamma^2) far out; generates the "hoc" kind."""
     g2 = float(gamma) * float(gamma)
+    d = _far_out(lambda x: g2 + np.square(x))
     return GeneratorFunction(
-        h=lambda x: np.log1p(np.square(x) / g2),
-        h_prime=lambda x: 2.0 * x / (g2 + np.square(x)),
-        h_second=lambda x: 2.0 * (g2 - np.square(x)) / np.square(g2 + np.square(x)),
+        h=_far_out(lambda x: np.where(np.square(x) / g2 < np.inf, np.log1p(np.square(x) / g2),
+                                      2.0 * np.log(np.abs(x) + math.sqrt(g2)) - math.log(g2))),
+        h_prime=lambda x: 2.0 * (x / d(x)),
+        h_second=lambda x: 2.0 * (2.0 * g2 / d(x) - 1.0) / d(x),
         name="cauchy",
     )
 
@@ -179,10 +189,12 @@ def gmc_generator(tau: float) -> GeneratorFunction:
     its constant 1; generates the "hog" kind. With the constant, a*h + b would
     cancel at a small tau, where a = (lam^2 + 4*tau^2)^2 / (8*tau^2) is huge."""
     t2 = 4.0 * float(tau) * float(tau)
+    d = _far_out(lambda x: np.square(x) + t2)
     return GeneratorFunction(
-        h=lambda x: -t2 / (np.square(x) + t2),
-        h_prime=lambda x: 2.0 * t2 * x / np.square(np.square(x) + t2),
-        h_second=lambda x: 2.0 * t2 * (t2 - 3.0 * np.square(x)) / (np.square(x) + t2) ** 3,
+        h=lambda x: -t2 / d(x),
+        # Where d is inf, 2 t2 x may be too, and inf / inf is nan; x = 0 there gives 0.
+        h_prime=_far_out(lambda x: 2.0 * t2 * np.where(d(x) < np.inf, x, 0.0) / np.square(d(x))),
+        h_second=_far_out(lambda x: 2.0 * t2 / np.square(d(x)) * (4.0 * t2 / d(x) - 3.0)),
         name="gmc",
     )
 
@@ -288,7 +300,7 @@ def loss_eval(penalty: Penalty, x):
     else:
         cc = continuity_constants(penalty.generator, lam)
         tail = cc.a * np.asarray(penalty.generator.h(np.maximum(ax, lam)), dtype=float) + cc.b
-    out = np.where(ax <= lam, 0.5 * np.square(xa), tail)
+    out = np.where(ax <= lam, 0.5 * np.square(np.minimum(ax, lam)), tail)
     return float(out) if np.ndim(x) == 0 else out
 
 

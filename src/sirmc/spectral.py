@@ -9,9 +9,8 @@ Every penalty's prox is exactly zero on [-lam, lam], so only the singular
 values above the threshold matter. Without a warm start the shrinkage runs
 the dense SVD. Given one (the right singular vectors the previous shrink
 kept, k columns) it chooses its route once, in `SvdTriplet.of`, in this
-order: ||D||_F <= lam proves that nothing survives (empty result); a
-certified randomized subspace iteration (Halko, Martinsson & Tropp 2011) on
-one block of k + OVERSAMPLE columns, while that is at most
+order: a certified randomized subspace iteration (Halko, Martinsson &
+Tropp 2011) on one block of k + OVERSAMPLE columns, while that is at most
 min(m, n) // BLOCK_DIVISOR; a certified eigendecomposition of D^T D or
 D D^T, while that bound is at least OVERSAMPLE; the dense SVD last.
 """
@@ -52,15 +51,11 @@ class SvdTriplet:
            start: np.ndarray | None = None) -> "SvdTriplet":
         """Dense thin SVD of D; with a threshold `above` and a warm start (n x k,
         orthonormal columns), the first route that applies and certifies:
-        the empty triplet when ||D||_F <= above (route "truncated"), the
-        truncated SVD when k + OVERSAMPLE <= min(m, n) // BLOCK_DIVISOR, the
-        Gram route when that bound is at least OVERSAMPLE, else LAPACK."""
+        the truncated SVD when k + OVERSAMPLE <= min(m, n) // BLOCK_DIVISOR,
+        the Gram route when that bound is at least OVERSAMPLE, else LAPACK."""
         try:
             if start is not None:
-                m, n = D.shape
-                if np.linalg.norm(D) <= above:
-                    return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), route="truncated")
-                limit = min(m, n) // BLOCK_DIVISOR
+                limit = min(D.shape) // BLOCK_DIVISOR
                 if start.shape[1] + OVERSAMPLE <= limit:
                     found = _truncated_svd(D, above, start)
                     if found is not None:
@@ -155,16 +150,14 @@ def _gram_svd(D: np.ndarray, lam: float):
 
 def norm_estimate(A: np.ndarray) -> float:
     """Estimate of ||A||_2 from NORM_POWER_STEPS power steps on A^T A from a
-    fixed Philox start: a lower bound, homogeneous in A, with no SVD. The
-    steps run on A / 2^e with max|A_ij| < 2^e, so squaring the data's scale
-    cannot overflow, nor underflow at a tiny scale; a power of two is exact."""
-    e = int(np.frexp(np.max(np.abs(A)))[1])
-    A = np.ldexp(A, -e)
+    fixed Philox start: a lower bound, homogeneous in A, with no SVD, and 0
+    when the start is orthogonal to A's row space. A^T A squares the scale,
+    so solve passes A at unit scale, max|A_ij| in [1/2, 1)."""
     v = Generator(Philox(FILL_SEED)).standard_normal(A.shape[1])
     for _ in range(NORM_POWER_STEPS):
         v = A.T @ (A @ v)
         v /= np.linalg.norm(v) or 1.0
-    return float(np.ldexp(np.linalg.norm(A @ v), e))
+    return float(np.linalg.norm(A @ v))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ reference loop."""
 import math
 import pathlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def _observed(X):
     Lambda and the residual: what solve passes to update_m and update_e."""
     omega = np.flatnonzero(X.mask)
     return X.values.take(omega), omega
+
+
+def _zero_state(X, rho):
+    """M = Lambda = 0 at the given rho: the state a solve starts from."""
+    return SolverState(M=np.zeros(X.shape), Lambda=np.zeros(X.n_observed), rho=rho)
+
+
+def _start_rho(X, config):
+    """The rho0 a solve starts from, in data units: its trace's first rho."""
+    return solve(X, replace(config, max_iters=1))[1].rho[0]
 
 
 def _on_grid(vector, X):
@@ -143,7 +154,7 @@ class TestUpdateM:
         rng = np.random.Generator(np.random.Philox(3))
         X = _full(rng.standard_normal((6, 5)) * 50.0)
         cfg = SolverConfig(rho0=1.0)
-        state = SolverState.initial(X, cfg)
+        state = _zero_state(X, cfg.rho0)
         x, omega = _observed(X)
         out = update_m(state, x, cfg, omega).M
         assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty),
@@ -152,14 +163,14 @@ class TestUpdateM:
     def test_subthreshold_data_maps_to_zero(self):
         X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
         cfg = SolverConfig(rho0=1e-2)
-        state = SolverState.initial(X, cfg)
+        state = _zero_state(X, cfg.rho0)
         x, omega = _observed(X)
         assert np.array_equal(update_m(state, x, cfg, omega).M, np.zeros((2, 2)))
 
     def test_two_by_two_diagonal_case(self):
         X = _full(np.array([[3.0, 0.0], [0.0, 0.5]]))
         cfg = SolverConfig(rho0=1.0)
-        state = SolverState.initial(X, cfg)
+        state = _zero_state(X, cfg.rho0)
         x, omega = _observed(X)
         out = update_m(state, x, cfg, omega).M
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
@@ -172,7 +183,7 @@ class TestUpdateM:
         mask = np.array([[True, True, False], [True, False, True], [True, True, True]])
         X = ObservedMatrix(rng.standard_normal((3, 3)) * 2.0, mask)
         cfg = SolverConfig(rho0=1.0)
-        state = SolverState.initial(X, cfg)
+        state = _zero_state(X, cfg.rho0)
         state.M = rng.standard_normal((3, 3))
         Lam = np.where(mask, rng.standard_normal((3, 3)) * 0.1, 0.0)
         state.Lambda = Lam[mask]
@@ -274,7 +285,7 @@ class TestSolve:
         spec = SyntheticSpec(m=20, n=15, f_r=0.1, f_m=0.3, seed=9)
         _, X_obs = gen_synthetic(spec)
         cfg = SolverConfig(max_iters=40)
-        state = SolverState.initial(X_obs, cfg)
+        state = _zero_state(X_obs, _start_rho(X_obs, cfg))
         off, (x, omega) = ~X_obs.mask, _observed(X_obs)
         for _ in range(10):
             M_new = update_m(state, x, cfg, omega).M
@@ -292,7 +303,7 @@ class TestSolve:
         _, X_obs = gen_synthetic(spec)
         cfg = SolverConfig(penalty=soft_threshold(1.0), max_iters=30, xi=1e-30)
         _, trace = solve(X_obs, cfg)
-        expected = SolverState.initial(X_obs, cfg).rho
+        expected = _start_rho(X_obs, cfg)
         for rho_k in trace.rho:
             assert rho_k == expected
             expected *= cfg.mu
@@ -318,16 +329,17 @@ class TestSolve:
         assert trace.max_iters_reached
         assert trace.iters == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rho overflows on purpose
     def test_nonfinite_iterate_aborts(self):
         # Extreme mu overflows rho after two iterations; xi below the SVD
-        # roundoff floor keeps the loop from stopping first.
+        # roundoff floor keeps the loop from stopping first. On the way the
+        # generated penalties' prox sees sigma * rho near 1e195, where x^2
+        # overflows, and must pass it without a RuntimeWarning (an error here).
         rng = np.random.Generator(np.random.Philox(4))
         X = _full(rng.standard_normal((4, 4)) * 2.0)
-        cfg = SolverConfig(penalty=soft_threshold(1.0), rho0=1e-5, mu=1e200,
-                           xi=1e-320, max_iters=10)
-        with pytest.raises(NonFiniteIterate):
-            solve(X, cfg)
+        for method in ("nnm", "how", "hoc", "hog"):
+            cfg = bench.config_for_method(method, rho0=1e-5, mu=1e200, xi=1e-320, max_iters=10)
+            with pytest.raises(NonFiniteIterate):
+                solve(X, cfg)
 
     @pytest.mark.slow
     def test_rank1_recovery_end_to_end(self):
@@ -399,7 +411,7 @@ def _reference_solve(X, config):
     M = np.zeros(X.shape)
     E = np.zeros(X.shape)
     Lam = np.zeros(X.shape)
-    rho = SolverState.initial(X, config).rho
+    rho = _start_rho(X, config)
     rel_e = []
     while True:
         M = shrink_singular_values(X.values - E + Lam / rho, config.penalty, scale=1.0 / rho)
@@ -556,19 +568,36 @@ class TestDefaultRho0:
     def test_resolved_from_a_lower_bound_on_the_norm(self):
         _, X_obs = _protocol_instance()
         s1 = np.linalg.norm(X_obs.values, 2)
-        threshold = 1.0 / SolverState.initial(X_obs, SolverConfig()).rho
+        threshold = 1.0 / _start_rho(X_obs, SolverConfig())
         assert 0.5 * s1 <= threshold <= s1 * (1 + 1e-12)
 
     def test_explicit_rho0_is_exact(self):
         _, X_obs = _protocol_instance()
-        assert SolverState.initial(X_obs, SolverConfig(rho0=0.3)).rho == 0.3
+        assert _start_rho(X_obs, SolverConfig(rho0=0.3)) == 0.3
         with pytest.raises(NonPositiveParameter):
             SolverConfig(rho0=0.0)
 
     def test_zero_data_has_no_scale(self):
         X = ObservedMatrix(np.zeros((3, 3)), np.ones((3, 3), dtype=bool))
         with pytest.raises(ZeroNormInput):
-            SolverState.initial(X, SolverConfig())
+            solve(X, SolverConfig())
+
+    def test_start_orthogonal_to_the_power_steps(self):
+        # Rows r, 2r, 0 with r orthogonal to norm_estimate's fixed start: the
+        # power steps return 0, and max|X| (a lower bound on sigma_1 = 3.37)
+        # starts the schedule instead. The two unobserved entries are zeros
+        # of the rank-1 truth.
+        v = np.random.Generator(np.random.Philox(spectral.FILL_SEED)).standard_normal(4)
+        r = np.array([v[1], -v[0], 0.0, 0.0])
+        truth = np.outer([1.0, 2.0, 0.0], r)
+        mask = np.ones((3, 4), dtype=bool)
+        mask[0, 2:] = False
+        X = ObservedMatrix(truth, mask)
+        assert spectral.norm_estimate(X.values) == 0.0
+        M, trace = solve(X, SolverConfig())
+        assert trace.rho[0] == 1.0 / np.max(np.abs(truth))
+        assert not trace.max_iters_reached and trace.rel_e[-1] <= 1e-7
+        assert np.linalg.norm(M - truth) <= 1e-6 * np.linalg.norm(truth)
 
     def test_huge_data_keeps_its_scale(self):
         # The loop runs at unit scale, so data far above 1 recovers as at 1;
@@ -614,7 +643,7 @@ def test_power_of_two_scaling_is_exact():
     # iteration for iteration, across the exponent range of the doubles.
     _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
     M, trace = solve(X_obs, SolverConfig())
-    for k in (-1000, -600, -1, 1, 600, 1000):
+    for k in (-1000, -600, -1, 1, 600, 1000, 1017):
         M_k, trace_k = solve(ObservedMatrix(np.ldexp(X_obs.values, k), X_obs.mask),
                              SolverConfig())
         assert trace_k.iters == trace.iters, k

@@ -189,6 +189,27 @@ class TestProxValues:
             assert prox_eval(p, 1.0) == 0.0
             assert prox_eval(p, -1.0) == 0.0
 
+    @pytest.mark.parametrize("x", [1e160, 1e300])
+    @pytest.mark.parametrize("method", ["how", "hoc", "hog"])
+    def test_far_out_values_are_the_limit(self, method, x):
+        # x^2 overflows here. RuntimeWarnings are errors in this suite, so
+        # the values must come without one: the prox is the identity, and
+        # the loss tends to b (how, hog) or grows as a*log(x^2/gamma^2) + b.
+        p = make_penalty(METHODS[method], 1.0)
+        cc = continuity_constants(p.generator, 1.0)
+        far = 2.0 * math.log(x) - 2.0 * math.log(p.shape) if method == "hoc" else 0.0
+        for sign in (1.0, -1.0):
+            assert prox_eval(p, sign * x) == sign * x
+            assert loss_eval(p, sign * x) == pytest.approx(cc.a * far + cc.b, rel=1e-15)
+
+    @pytest.mark.parametrize("method", ["how", "hoc", "hog"])
+    def test_generators_are_finite_at_every_finite_argument(self, method):
+        xs = np.array([0.0, 5e-324, 1.0, 1e77, 1e154, 1e160, 1e300, np.finfo(float).max])
+        gen = make_penalty(METHODS[method], 1.0).generator
+        for f in (gen.h, gen.h_prime, gen.h_second):
+            values = np.concatenate([f(xs), f(-xs)])
+            assert np.isfinite(values).all()
+
 
 class TestBias:
     def test_equals_lam_at_threshold(self):
