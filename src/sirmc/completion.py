@@ -181,7 +181,7 @@ def update_m(state: SolverState, x: np.ndarray, config: SolverConfig,
     index omega, x the observed values in its order) and M off it, warm-started from
     the estimate's right singular vectors."""
     D = state.M.copy()
-    np.put(D, omega, x + state.Lambda / state.rho)
+    D.reshape(-1)[omega] = x + state.Lambda / state.rho  # a view: np.put costs 3x
     return shrink_singular_values(D, config.penalty, start=state.V, scale=1.0 / state.rho)
 
 
@@ -290,6 +290,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
 DIAGNOSTIC_WINDOW = 10   # trailing iterations over which feasibility must fall
 SETTLE_ITERS = 3         # final increments judged; a healthy solve's oscillate down
 DELTA_M_REL_TOL = 1e-6   # settled: increments at most this times ||X||_F
+SETTLE_RATE = 0.5        # or falling by this factor, the last within the tolerance
 EARLY_ITERS = 2          # converging within this many iterations is suspect
 
 
@@ -298,15 +299,19 @@ def convergence_diagnostics(trace: IterTrace) -> tuple:
 
     In this order: "max_iters_reached" when the cap was hit,
     "delta_m_above_threshold" when the last SETTLE_ITERS estimate increments
-    did not settle, "feas_stalled" when feasibility did not fall over the
-    last DIAGNOSTIC_WINDOW iterations, and "zero_filled_input" when the solve
-    kept every singular value or converged within EARLY_ITERS iterations:
-    its answer is likely the zero-filled input, not a completion.
+    did not settle (settled: all within DELTA_M_REL_TOL * ||X||_F, or the last
+    within it and each at most SETTLE_RATE times the one before, so that a
+    tail as fast moves M less), "feas_stalled" when feasibility did not fall
+    over the last DIAGNOSTIC_WINDOW iterations, and "zero_filled_input" when
+    the solve kept every singular value or converged within EARLY_ITERS
+    iterations: its answer is likely the zero-filled input, not a completion.
     """
     if trace.iters == 0:
         raise ValueError("empty trace")
     last_feas = trace.feas[-DIAGNOSTIC_WINDOW:]
-    delta_m_settled = max(trace.delta_m[-SETTLE_ITERS:]) <= DELTA_M_REL_TOL * trace.norm_x
+    last, tol = trace.delta_m[-SETTLE_ITERS:], DELTA_M_REL_TOL * trace.norm_x
+    delta_m_settled = max(last) <= tol or (
+        last[-1] <= tol and all(b <= SETTLE_RATE * a for a, b in zip(last, last[1:])))
     feas_decreasing = last_feas[-1] == 0.0 or last_feas[-1] < last_feas[0]
     flags = []
     if trace.max_iters_reached:

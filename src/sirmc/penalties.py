@@ -227,12 +227,14 @@ def continuity_constants(generator: GeneratorFunction, lam: float) -> Continuity
 def validate(penalty: Penalty) -> None:
     """Certify bias dominance of every penalty with a generator: g(x) =
     x^2/2 - loss(x) is convex, and h'' < 0 beyond the threshold, so the
-    shrinkage amount decays there. For the hybrid kinds the second test is
-    the shape bound sigma <= sqrt(2)*lam, gamma <= lam, tau <= sqrt(3)/2*lam.
+    shrinkage amount decays there. The hybrid kinds, whose second test is the
+    shape bound sigma <= sqrt(2)*lam, gamma <= lam, tau <= sqrt(3)/2*lam, are
+    certified at unit scale, where no square of lam under- or overflows.
     """
     if penalty.generator is None:
         return
-    lam, gen = penalty.lam, penalty.generator
+    lam, gen = ((1.0, GENERATORS[penalty.kind](penalty.shape / penalty.lam))
+                if penalty.kind in GENERATORS else (penalty.lam, penalty.generator))
     cc = continuity_constants(gen, lam)
     # Convexity of g(x) = x^2/2 - loss(x): g' vanishes on [0, lam] by the C1
     # splice, so g is convex iff the tail derivative x - a*h'(x) stays

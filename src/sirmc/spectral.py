@@ -17,6 +17,7 @@ D D^T, while that bound is at least OVERSAMPLE; the dense SVD last.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +98,13 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
     a solve) certify: a step of a narrow block costs a small fraction of the
     dense SVD.
     """
-    fill = Generator(Philox(FILL_SEED)).standard_normal((D.shape[1], OVERSAMPLE))
-    Y = D @ np.hstack([start, fill])
+    Y = D @ np.hstack([start, fixed_normal((D.shape[1], OVERSAMPLE))])
     prev = prev_res = None
     for step in range(POWER_STEPS + 1):
-        # Rayleigh-Ritz on the range of Y = D @ V.
+        # Rayleigh-Ritz on range(Y): tall D^T Q = V S W^T (as the faster (Q^T D)^T) gives U = Q W.
         Q, _ = np.linalg.qr(Y)
-        W, s, Vh = np.linalg.svd(Q.T @ D, full_matrices=False)
-        U, V = Q @ W, Vh.T
+        V, s, Wt = np.linalg.svd((Q.T @ D).T, full_matrices=False)
+        U = Q @ Wt.T
         kept = int(np.count_nonzero(s > lam))
         if kept == s.size:
             return None  # saturated
@@ -148,12 +148,20 @@ def _gram_svd(D: np.ndarray, lam: float):
     return (U, s, V) if A is D else (V, s, U)
 
 
+@functools.lru_cache(maxsize=8)
+def fixed_normal(shape: tuple) -> np.ndarray:
+    """FILL_SEED's Philox normals in `shape`, drawn once per shape and shared read-only."""
+    draw = Generator(Philox(FILL_SEED)).standard_normal(shape)
+    draw.flags.writeable = False
+    return draw
+
+
 def norm_estimate(A: np.ndarray) -> float:
     """Estimate of ||A||_2 from NORM_POWER_STEPS power steps on A^T A from a
     fixed Philox start: a lower bound, homogeneous in A, with no SVD, and 0
     when the start is orthogonal to A's row space. A^T A squares the scale,
     so solve passes A at unit scale, max|A_ij| in [1/2, 1)."""
-    v = Generator(Philox(FILL_SEED)).standard_normal(A.shape[1])
+    v = fixed_normal((A.shape[1],))
     for _ in range(NORM_POWER_STEPS):
         v = A.T @ (A @ v)
         v /= np.linalg.norm(v) or 1.0

@@ -175,6 +175,22 @@ class TestUpdateM:
         out = update_m(state, x, cfg, omega).M
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
 
+    def test_flat_scatter_builds_d_bitwise(self, monkeypatch):
+        # D = M with the observed entries set to x + Lambda/rho, written
+        # through a flat view of M's copy; M itself is not touched.
+        rng = np.random.Generator(np.random.Philox(8))
+        X = ObservedMatrix(rng.standard_normal((7, 5)), rng.random((7, 5)) < 0.6)
+        M = rng.standard_normal((7, 5))
+        state = SolverState(M=M.copy(), Lambda=rng.standard_normal(X.n_observed), rho=0.7)
+        seen = []
+        monkeypatch.setattr(completion, "shrink_singular_values",
+                            lambda D, *args, **kwargs: seen.append(D.copy()))
+        x, omega = _observed(X)
+        update_m(state, x, SolverConfig(), omega)
+        expected = np.where(X.mask, X.values + _on_grid(state.Lambda, X) / state.rho, M)
+        assert np.array_equal(seen[0], expected)
+        assert np.array_equal(state.M, M)
+
     def test_optimality_against_regularizer_oracle(self):
         # The shrinkage output must beat random perturbations on the
         # subproblem objective evaluated with the grid-reconstructed
@@ -382,6 +398,16 @@ class TestConvergenceDiagnostics:
         # the demo fixture's solve (times 1e-7 ||X||_F, ||X||_F = 10 here).
         delta = [1e-6 * d for d in (19.0, 6.0, 4.7, 11.2, 13.0, 11.0, 6.8, 2.1, 1.8, 4.1,
                                     4.7, 4.0)]
+        flags = convergence_diagnostics(self._trace([0.5 ** k for k in range(12)], delta,
+                                                    capped=False))
+        assert flags == ()
+
+    def test_increments_falling_fast_into_tolerance_settle(self):
+        # The fully observed 3x4 rank-1 solve's last increments (9.1e-6,
+        # 2.8e-6, 7.5e-7 against 3.2e-6, rescaled to ||X||_F = 10): two lie
+        # above the tolerance, but falling 3x an iteration they leave a tail
+        # smaller than the last increment.
+        delta = [1e-4] * 9 + [2.89e-5, 8.87e-6, 2.36e-6]
         flags = convergence_diagnostics(self._trace([0.5 ** k for k in range(12)], delta,
                                                     capped=False))
         assert flags == ()
@@ -598,6 +624,21 @@ class TestDefaultRho0:
         assert trace.rho[0] == 1.0 / np.max(np.abs(truth))
         assert not trace.max_iters_reached and trace.rel_e[-1] <= 1e-7
         assert np.linalg.norm(M - truth) <= 1e-6 * np.linalg.norm(truth)
+
+    @pytest.mark.parametrize("orthogonal, full", [(False, True), (True, False), (True, True)])
+    def test_small_right_answer_is_not_flagged(self, orthogonal, full):
+        # Rows r, 2r, 0 of a rank-1 matrix: r = (1, -1, 0, 0), or r orthogonal
+        # to norm_estimate's start as above, fully observed or with two
+        # entries unobserved. Each solves to about 6e-8, with increments that
+        # fall 3x an iteration into the tolerance, and gets no flag.
+        v = np.random.Generator(np.random.Philox(spectral.FILL_SEED)).standard_normal(4)
+        r = np.array([v[1], -v[0], 0.0, 0.0]) if orthogonal else np.array([1.0, -1.0, 0, 0])
+        truth = np.outer([1.0, 2.0, 0.0], r)
+        mask = np.ones((3, 4), dtype=bool)
+        mask[0, 2:] = full
+        M, trace = solve(ObservedMatrix(truth, mask), SolverConfig())
+        assert np.linalg.norm(M - truth) <= 1e-7 * np.linalg.norm(truth)
+        assert convergence_diagnostics(trace) == ()
 
     def test_huge_data_keeps_its_scale(self):
         # The loop runs at unit scale, so data far above 1 recovers as at 1;

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,19 @@ class TestValidate:
         with pytest.raises(DomainError, match="overflow the loss"):
             build()
         hog(1e76)  # just below the bound
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-160, 1.0, 1e76])
+    @pytest.mark.parametrize("kind", list(METHODS.values()))
+    def test_every_kind_validates_silently_at_any_scale(self, kind, lam):
+        # Certified at unit scale. At lam itself, how's sigma^2 underflowed at
+        # 1e-160 (h'' lost its sign) and hoc's h'' overflowed. 1e76 is the top
+        # decade the loss's overflow bound above admits for every kind.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate(make_penalty(kind, lam))
+        if kind in STRICT_SHAPE_RATIO:
+            with pytest.raises(BiasConstraintViolated):
+                validate(make_penalty(kind, lam, shape=1.01 * STRICT_SHAPE_RATIO[kind] * lam))
 
 
 class TestContinuityConstants:

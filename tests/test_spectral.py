@@ -311,3 +311,18 @@ def test_norm_estimate_is_a_homogeneous_lower_bound(rng):
     for c in (1e-6, 1e6):
         assert abs(norm_estimate(c * A) - c * est) <= 1e-13 * c * est
     assert norm_estimate(np.zeros((3, 2))) == 0.0
+
+
+def test_fixed_normal_is_a_shared_read_only_fresh_draw(rng):
+    # The fill block and norm_estimate's start are drawn once per shape and
+    # shared: no caller may write to them, and they stay the fresh draw.
+    D = rng.standard_normal((300, 200))
+    shrink_singular_values(D, how(1.0), start=np.zeros((200, 0)), scale=5.0)
+    norm_estimate(D)
+    for shape in ((200, spectral.OVERSAMPLE), (200,)):
+        block = spectral.fixed_normal(shape)
+        assert spectral.fixed_normal(shape) is block
+        fresh = np.random.Generator(np.random.Philox(spectral.FILL_SEED)).standard_normal(shape)
+        assert np.array_equal(block, fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 0.0
