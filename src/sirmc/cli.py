@@ -28,8 +28,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITERS = 2
 EXIT_SELFTEST = 3
-MAX_CURVE_ROWS = 1e7  # prox-curve rows (1e7 write about 1 GB), and oracle grid points
-MAX_CURVE_WORK = 1e10  # prox-curve rows x oracle grid points; about 8 ns each
+MAX_CURVE_ROWS = 1e7  # prox-curve rows; 1e7 write about 1 GB
 
 PRESETS = {
     "paper-grid": (bench.PAPER_GRID, bench.PAPER_GRID),
@@ -109,12 +108,20 @@ def _parse_fractions(text: str, flag: str):
     return vals
 
 
+def _refuse_unused_shape(methods, flag: str, shape) -> None:
+    """A shape flag is a usage error where no chosen method takes a shape."""
+    if shape is not None and all(penalties.METHODS[m] not in penalties.GENERATORS for m in methods):
+        raise UsageError(f"{flag}: {', '.join(methods)} takes no shape")
+
+
 def _method_configs(args) -> dict:
     """{method: solver config} for the comma-separated --methods list."""
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:
         raise UsageError(f"--methods: no method named in {args.methods!r}")
-    return {m: _solver_config(args, m) for m in methods}
+    configs = {m: _solver_config(args, m) for m in methods}
+    _refuse_unused_shape(methods, "--shape-ratio", args.shape_ratio)
+    return configs
 
 
 def _log_failed_solves(grid: bench.SweepGrid) -> None:
@@ -126,6 +133,7 @@ def _log_failed_solves(grid: bench.SweepGrid) -> None:
 
 
 def cmd_complete(args) -> int:
+    _refuse_unused_shape((args.method,), "--shape-ratio", args.shape_ratio)
     X = matio.load_observed(args.matrix, args.mask)
     config = _solver_config(args, args.method)
     t0 = time.perf_counter()
@@ -148,6 +156,8 @@ def cmd_complete(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.preset is not None:
+        if args.fr_values is not None or args.fm_values is not None:
+            raise UsageError("give --preset or --fr-values and --fm-values, not both")
         fr_values, fm_values = PRESETS[args.preset]
     else:
         if args.fr_values is None or args.fm_values is None:
@@ -197,21 +207,17 @@ def cmd_prox_curve(args) -> int:
         raise UsageError("--step must be positive")
     if args.xmax <= args.xmin:
         raise UsageError("--xmax must exceed --xmin")
+    _refuse_unused_shape((args.method,), "--shape", args.shape)
     penalty = penalties.make_penalty(penalties.METHODS[args.method], args.lam, shape=args.shape)
     rows = (args.xmax - args.xmin) / args.step
     if not rows < MAX_CURVE_ROWS:
         raise DomainError(f"--step {args.step!r} gives {rows:.3g} rows, over {MAX_CURVE_ROWS:g}")
     count = int(round(rows)) + 1
-    # The regularizer column scans the grid oracle's whole grid once per row.
-    half = max(abs(args.xmin), abs(args.xmax)) + penalties.ORACLE_RANGE_MARGIN * args.lam
-    grid = 2.0 * half / (args.lam / penalties.ORACLE_STEP_DIV)
-    if not (grid < MAX_CURVE_ROWS and count * grid < MAX_CURVE_WORK):
-        raise DomainError(f"--lam {args.lam!r} gives {count} rows x {grid:.3g} oracle grid "
-                          f"points, over {MAX_CURVE_ROWS:g} points or {MAX_CURVE_WORK:g} in all")
     xs = args.xmin + args.step * np.arange(count)
+    # First: the oracle refuses a grid too large for these rows before it allocates one.
+    reg = np.asarray(penalties.implicit_regularizer(penalty, xs))
     loss = np.asarray(penalties.loss_eval(penalty, xs))
     prox = np.asarray(penalties.prox_eval(penalty, xs))
-    reg = np.asarray(penalties.implicit_regularizer(penalty, xs))
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write("x,loss,prox,implicit_regularizer\n")
         for i in range(count):

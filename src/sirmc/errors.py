@@ -21,10 +21,6 @@ class GeneratorNotConvex(SirmcError, ValueError):
     """Numerical certification of the convexity hypothesis failed."""
 
 
-class GridTooCoarse(SirmcError, ValueError):
-    """Oracle grid step exceeds the resolution contract."""
-
-
 class DomainError(SirmcError, ValueError):
     """Argument outside the operation's domain."""
 

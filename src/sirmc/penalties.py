@@ -35,7 +35,7 @@ from .errors import (
     BiasConstraintViolated,
     DomainError,
     GeneratorNotConvex,
-    GridTooCoarse,
+    NonFiniteInput,
     NonPositiveParameter,
     ZeroDerivativeAtThreshold,
 )
@@ -58,10 +58,12 @@ STRICT_SHAPE_RATIO = {
     HOG: math.sqrt(3.0) / 2.0,
 }
 
-# Default oracle grid: step = lam / ORACLE_STEP_DIV, range +-(|input| + 10*lam).
+# The oracle grid: step lam / ORACLE_STEP_DIV over +-(max|input| + ORACLE_RANGE_MARGIN * lam),
+# refused past MAX_ORACLE_POINTS points (80 MB) or MAX_ORACLE_WORK inputs x points (~8 ns each).
 ORACLE_STEP_DIV = 200
-MAX_ORACLE_STEP_DIV = 100  # contract: step must not exceed lam / 100
 ORACLE_RANGE_MARGIN = 10.0
+MAX_ORACLE_POINTS = 1e7
+MAX_ORACLE_WORK = 1e10
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ class Penalty:
     """A penalty at threshold lam.
 
     shape is the tail parameter (sigma for "how", gamma for "hoc", tau for
-    "hog"); it is None for "soft". A hybrid kind's generator is built from
-    its shape; a generic penalty is given one, and no other kind takes one.
+    "hog"); "soft" and "generic" take none. A hybrid kind's generator is built
+    from its shape; a generic penalty is given one, and no other kind takes one.
     """
 
     kind: str
@@ -111,6 +113,8 @@ class Penalty:
                 f"{self.kind} needs a finite and positive shape parameter, got {self.shape}")
         if (self.kind == GENERIC) != (self.generator is not None):
             raise DomainError(f"{self.kind} penalty: only generic takes a generator, and needs one")
+        if self.kind not in GENERATORS and self.shape is not None:
+            raise DomainError(f"{self.kind} penalty takes no shape, got {self.shape}")
         q = self.lam * self.lam + 4.0 * (self.shape or 0.0) * (self.shape or 0.0)
         if not math.isfinite(q * q):  # gmc's h'(lam) forms (lam^2 + 4 shape^2)^2
             raise DomainError(f"lam {self.lam} and shape {self.shape} overflow the loss")
@@ -224,6 +228,7 @@ def continuity_constants(generator: GeneratorFunction, lam: float) -> Continuity
     return ContinuityConstants(a, b)
 
 
+@np.errstate(all="ignore")  # a sample that overflows or is nan fails below, with a typed error
 def validate(penalty: Penalty) -> None:
     """Certify bias dominance of every penalty with a generator: g(x) =
     x^2/2 - loss(x) is convex, and h'' < 0 beyond the threshold, so the
@@ -255,12 +260,12 @@ def validate(penalty: Penalty) -> None:
         h2 = (np.asarray(gen.h_prime(xs + dh), dtype=float)
               - np.asarray(gen.h_prime(xs - dh), dtype=float)) / (2 * dh)
     # Sign bit, not h2 < 0: a negative h'' that underflows (Welsch far out at a
-    # small sigma) keeps its sign as -0.0; +0.0, a positive value and nan fail.
-    if not np.all(np.signbit(h2)):
+    # small sigma) keeps its sign as -0.0; +0.0, a positive value, inf and nan fail.
+    if not np.all(np.signbit(h2) & np.isfinite(h2)):
         ratio = STRICT_SHAPE_RATIO.get(penalty.kind)
         got = "" if ratio is None else f" at shape {penalty.shape}, over {ratio:.6f} * lam"
-        raise BiasConstraintViolated(f"{penalty.kind}: h'' >= 0 beyond the threshold{got}; "
-                                     "bias does not decay")
+        raise BiasConstraintViolated(f"{penalty.kind}: h'' not finite and negative beyond the "
+                                     f"threshold{got}; bias does not decay")
 
 
 def _shrink_amount(penalty: Penalty, ax: np.ndarray) -> np.ndarray:
@@ -319,69 +324,60 @@ def bias(penalty: Penalty, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _resolve_step(penalty: Penalty, grid_step: float | None) -> float:
-    step = penalty.lam / ORACLE_STEP_DIV if grid_step is None else float(grid_step)
-    if step <= 0.0 or step > penalty.lam / MAX_ORACLE_STEP_DIV * (1 + 1e-12):
-        raise GridTooCoarse(
-            f"grid step {step} exceeds lam/{MAX_ORACLE_STEP_DIV} = "
-            f"{penalty.lam / MAX_ORACLE_STEP_DIV:.6g}"
-        )
-    return step
+def _oracle_grid(lam: float, values: np.ndarray) -> np.ndarray:
+    """The grid an oracle scans for these inputs; a refused grid is never allocated."""
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("oracle input contains inf or nan")
+    step = lam / ORACLE_STEP_DIV
+    n = np.ceil((np.max(np.abs(values), initial=0.0) + ORACLE_RANGE_MARGIN * lam) / step)
+    points = 2 * n + 1
+    if not (points <= MAX_ORACLE_POINTS and values.size * points <= MAX_ORACLE_WORK):
+        raise DomainError(f"oracle grid at lam {lam!r}: {values.size} inputs x {points:.3g} points"
+                          f", over {MAX_ORACLE_POINTS:g} points or {MAX_ORACLE_WORK:g} in all")
+    return np.arange(-int(n), int(n) + 1, dtype=float) * step
 
 
-def _symmetric_grid(half_range: float, step: float) -> np.ndarray:
-    n = int(math.ceil(half_range / step))
-    return np.arange(-n, n + 1, dtype=float) * step
+def _scan(values: np.ndarray, size: int, reduce, dtype=float) -> np.ndarray:
+    """reduce(block) for each block of the values, a column of about 2^22 / size of them."""
+    flat, chunk = values.reshape(-1), max(1, (1 << 22) // size)
+    out = np.empty(flat.size, dtype)
+    for start in range(0, flat.size, chunk):
+        out[start:start + chunk] = reduce(flat[start:start + chunk, None])
+    return out.reshape(values.shape)
 
 
-def implicit_regularizer(penalty: Penalty, y, grid_step: float | None = None):
+def implicit_regularizer(penalty: Penalty, y):
     """Numerically reconstruct the regularizer value at y.
 
     The regularizer generally has no closed-form expression; its value is
-    the conjugate-style maximum of loss(x)/lam - (x-y)^2/(2*lam), taken here
-    over a symmetric grid with the requested step (default lam/200, at most
-    lam/100) covering +-(max|y| + 10*lam). Nonnegative, zero at the origin,
-    nondecreasing in |y|.
+    the conjugate-style maximum of loss(x)/lam - (x-y)^2/(2*lam) over the
+    oracle grid: step lam/200 over +-(max|y| + 10*lam), refused for inf or nan
+    (NonFiniteInput) and, unallocated, past 1e7 points or 1e10 inputs x points
+    (DomainError). Nonnegative, zero at the origin, nondecreasing in |y|.
     """
-    step = _resolve_step(penalty, grid_step)
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     lam = penalty.lam
-    xg = _symmetric_grid(np.max(np.abs(ya), initial=0.0) + ORACLE_RANGE_MARGIN * lam, step)
+    xg = _oracle_grid(lam, ya)
     scaled_loss = np.asarray(loss_eval(penalty, xg)) / lam
-    out = np.empty(ya.shape, dtype=float)
-    flat_y = ya.reshape(-1)
-    flat_out = out.reshape(-1)
-    chunk = max(1, (1 << 22) // xg.size)
-    for start in range(0, flat_y.size, chunk):
-        block = flat_y[start:start + chunk, None]
-        vals = scaled_loss[None, :] - np.square(xg[None, :] - block) / (2.0 * lam)
-        flat_out[start:start + chunk] = vals.max(axis=1)
+    out = _scan(ya, xg.size, lambda b: (scaled_loss - np.square(xg - b) / (2.0 * lam)).max(axis=1))
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-def moreau_argmin_oracle(penalty: Penalty, x, grid_step: float | None = None):
+def moreau_argmin_oracle(penalty: Penalty, x):
     """Brute-force the proximal problem min_y (x-y)^2/2 + lam*reg(y) on a grid.
 
     Returns (argmin, minval). The argmin certifies prox_eval to within one
-    grid step and the minimum certifies loss_eval, without touching either
-    closed form on the search path: the regularizer values come from
-    ``implicit_regularizer`` and the minimization is plain enumeration.
+    grid step (lam/200) and the minimum certifies loss_eval, without touching
+    either closed form on the search path: the regularizer values come from
+    ``implicit_regularizer`` on the oracle grid for x, and the minimization is
+    plain enumeration. That inner call scans about (400 * (max|x|/lam + 15))^2
+    points, over the 1e10 bound (DomainError) once max|x| > about 235 * lam.
     """
-    step = _resolve_step(penalty, grid_step)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     lam = penalty.lam
-    yg = _symmetric_grid(np.max(np.abs(xa), initial=0.0) + ORACLE_RANGE_MARGIN * lam, step)
-    reg = implicit_regularizer(penalty, yg, grid_step=step)
-    argmin = np.empty(xa.shape, dtype=float)
-    minval = np.empty(xa.shape, dtype=float)
-    flat_x = xa.reshape(-1)
-    chunk = max(1, (1 << 22) // yg.size)
-    for start in range(0, flat_x.size, chunk):
-        block = flat_x[start:start + chunk, None]
-        obj = 0.5 * np.square(block - yg[None, :]) + lam * reg[None, :]
-        idx = obj.argmin(axis=1)
-        argmin.reshape(-1)[start:start + chunk] = yg[idx]
-        minval.reshape(-1)[start:start + chunk] = obj[np.arange(idx.size), idx]
-    if np.ndim(x) == 0:
-        return float(argmin[0]), float(minval[0])
-    return argmin, minval
+    yg = _oracle_grid(lam, xa)
+    reg = implicit_regularizer(penalty, yg)
+    idx = _scan(xa, yg.size, lambda b: (0.5 * np.square(b - yg) + lam * reg).argmin(axis=1),
+                np.intp)
+    argmin, minval = yg[idx], 0.5 * np.square(xa - yg[idx]) + lam * reg[idx]
+    return (float(argmin[0]), float(minval[0])) if np.ndim(x) == 0 else (argmin, minval)

@@ -44,7 +44,7 @@ def test_01_prox_oracle_equivalence():
     t0 = time.perf_counter()
     worst_arg = worst_val = 0.0
     for p in boundary_penalties():
-        argmin, minval = moreau_argmin_oracle(p, xs, grid_step=GRID_STEP)
+        argmin, minval = moreau_argmin_oracle(p, xs)
         worst_arg = max(worst_arg, float(np.max(np.abs(argmin - np.asarray(prox_eval(p, xs))))))
         worst_val = max(worst_val, float(np.max(np.abs(minval - np.asarray(loss_eval(p, xs))))))
     elapsed = time.perf_counter() - t0

@@ -286,12 +286,12 @@ class TestProxCurve:
         (["--xmin=-1e308", "--xmax=1e308"], "--step 0.01 gives inf rows, over 1e+07"),
         (["--method", "hoc", "--shape", "nan"],
          "hoc needs a finite and positive shape parameter, got nan"),
-        (["--lam", "1e-12"], "--lam 1e-12 gives 601 rows x 1.2e+15 oracle grid points, "
+        (["--lam", "1e-12"], "oracle grid at lam 1e-12: 601 inputs x 1.2e+15 points, "
                              "over 1e+07 points or 1e+10 in all"),
-        (["--lam", "1e-4", "--step", "1"], "--lam 0.0001 gives 7 rows x 1.2e+07 oracle "
-                                           "grid points, over 1e+07 points or 1e+10 in all"),
-        (["--lam", "0.01", "--step", "1e-5"], "--lam 0.01 gives 600001 rows x 1.24e+05 oracle "
-                                              "grid points, over 1e+07 points or 1e+10 in all"),
+        (["--lam", "1e-4", "--step", "1"], "oracle grid at lam 0.0001: 7 inputs x 1.2e+07 "
+                                           "points, over 1e+07 points or 1e+10 in all"),
+        (["--lam", "0.01", "--step", "1e-5"], "oracle grid at lam 0.01: 600001 inputs x "
+                                              "1.24e+05 points, over 1e+07 points or 1e+10 in all"),
         (["--lam", "1e200"], "lam 1e+200 and shape 1.414213562373095e+200 overflow the loss"),
     ])
     def test_bad_range_is_one_error_line(self, tmp_path, flags, message):
@@ -400,6 +400,26 @@ class TestParsing:
         assert capsys.readouterr().err.splitlines() == [
             f"usage error: --methods: no method named in {methods!r}"]
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["sweep", "--preset", "paper-grid", "--fr-values", "0.9", "--fm-values", "0.9"],
+         "give --preset or --fr-values and --fm-values, not both"),
+        (["complete", str(DEMO_OBS), "--method", "nnm", "--shape-ratio", "3"],
+         "--shape-ratio: nnm takes no shape"),
+        (["prox-curve", "--method", "nnm", "--shape", "5"], "--shape: nnm takes no shape")],
+        ids=["sweep-preset-and-values", "complete-nnm-shape", "prox-curve-nnm-shape"])
+    def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, args, message):
+        code = main([*args, "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_shape_ratio_taken_if_any_method_takes_one(self, tmp_path):
+        code = main(["sweep", "--fr-values", "0.1", "--fm-values", "0.2", "--trials", "1",
+                     "--methods", "how,nnm", "--shape-ratio", "1", "--m", "12", "--n", "10",
+                     *FAST_SOLVER, "--out", str(tmp_path / "g.csv")])
+        assert code == 0
+        assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 2
 
     def test_method_names_come_from_one_table(self):
         import sirmc

@@ -4,6 +4,8 @@ These never touch the closed-form prox on their search path, so agreement
 certifies the closed forms.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from sirmc import (
     prox_eval,
     soft_threshold,
 )
-from sirmc.errors import GridTooCoarse
+from sirmc.errors import DomainError, NonFiniteInput
 
 GRID_STEP = 1.0 / 200  # default for lam = 1
 
@@ -38,10 +40,6 @@ class TestImplicitRegularizer:
         ys = np.array([0.5, 1.0, 2.0, 3.5])
         vals = np.asarray(implicit_regularizer(soft_threshold(1.0), ys))
         assert np.max(np.abs(vals - ys)) <= 1e-6
-
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(GridTooCoarse):
-            implicit_regularizer(how(1.0), 1.0, grid_step=1.0 / 50)
 
 
 class TestMoreauOracle:
@@ -74,6 +72,29 @@ class TestMoreauOracle:
         assert np.max(np.abs(argmin - np.asarray(prox_eval(penalty, xs)))) <= GRID_STEP
         assert np.max(np.abs(minval - np.asarray(loss_eval(penalty, xs)))) <= 1e-4
 
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(GridTooCoarse):
-            moreau_argmin_oracle(how(1.0), 2.0, grid_step=0.5)
+
+ORACLES = [implicit_regularizer, moreau_argmin_oracle]
+
+
+class TestOracleGrid:
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("lam, x", [(1e-6, 3.0), (1.0, np.linspace(-300.0, 300.0, 10**5))])
+    def test_oversized_grid_refused_before_allocating(self, oracle, lam, x):
+        # 1.2e9 grid points (9.6 GB); 1e5 inputs x 124001 points, over 1e10 in all.
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="oracle grid"):
+            oracle(how(lam), x)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_moreau_inner_scan_refused_past_its_bound(self):
+        # The inner scan takes about (400 * (|x|/lam + 15))^2 steps: over 1e10 past 235.
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="oracle grid"):
+            moreau_argmin_oracle(how(2.0), 2.0 * 236.0)
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, [1.0, np.nan]])
+    def test_nonfinite_input_is_a_typed_error(self, oracle, x):
+        with pytest.raises(NonFiniteInput):
+            oracle(how(1.0), x)

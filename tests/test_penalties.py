@@ -17,6 +17,7 @@ from sirmc import (
     cauchy_generator,
     continuity_constants,
     generic,
+    gmc_generator,
     hoc,
     hog,
     how,
@@ -32,6 +33,7 @@ from sirmc.errors import (
     DomainError,
     GeneratorNotConvex,
     NonPositiveParameter,
+    SirmcError,
     ZeroDerivativeAtThreshold,
 )
 from sirmc.penalties import STRICT_SHAPE_RATIO
@@ -71,6 +73,13 @@ class TestValidate:
             build()
 
     @pytest.mark.parametrize("build", [
+        lambda: Penalty("soft", 1.0, 2.0), lambda: Penalty("soft", 1.0, 1e200),
+        lambda: Penalty("generic", 1.0, 2.0, generator=cauchy_generator(1.0))])
+    def test_shape_given_to_a_shapeless_kind_is_a_typed_error(self, build):
+        with pytest.raises(DomainError, match="takes no shape"):
+            build()
+
+    @pytest.mark.parametrize("build", [
         lambda: Penalty("how", 1.0, 0.5, generator=cauchy_generator(1.0)),
         lambda: make_penalty("hoc", 1.0, generator=cauchy_generator(1.0))])
     def test_generator_given_to_a_named_kind_is_a_typed_error(self, build):
@@ -99,6 +108,19 @@ class TestValidate:
         if kind in STRICT_SHAPE_RATIO:
             with pytest.raises(BiasConstraintViolated):
                 validate(make_penalty(kind, lam, shape=1.01 * STRICT_SHAPE_RATIO[kind] * lam))
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-160])
+    @pytest.mark.parametrize("make, ratio", [(welsch_generator, math.sqrt(2.0)),
+                                             (cauchy_generator, 1.0),
+                                             (gmc_generator, math.sqrt(3.0) / 2.0)])
+    def test_tiny_generic_penalty_passes_or_fails_typed(self, make, ratio, lam):
+        # A generic generator has no shape to rescale, so it is certified at its
+        # own lam, where its samples may overflow or be nan: that is a typed
+        # failure, never a RuntimeWarning (an error under this suite's filters).
+        try:
+            validate(generic(lam, make(ratio * lam)))
+        except SirmcError:
+            pass
 
 
 class TestContinuityConstants:
