@@ -17,7 +17,6 @@ from .completion import (
     IterTrace,
     ObservedMatrix,
     SolverConfig,
-    SolverState,
     convergence_diagnostics,
     solve,
 )

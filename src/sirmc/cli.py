@@ -181,7 +181,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        ranks = tuple(int(r) for r in args.ranks.split(",")) if args.ranks else ()
+        ranks = tuple(int(r) for r in args.ranks.split(","))
     except ValueError:
         raise UsageError(f"--ranks: expected comma-separated integers, got {args.ranks!r}") from None
     configs = _method_configs(args)

@@ -16,10 +16,11 @@ The iteration is homogeneous in the data, so the solve, its start included,
 runs at unit scale, on X / 2^e with max|X| in [2^(e-1), 2^e); a power of
 two is exact, so the answer does not depend on the data's scale.
 
-The state also carries V, the right singular vectors of M's nonzero
-singular values. Each shrink starts from it and, when that certifies,
-computes only the singular values above 1/rho (see spectral); the trace
-records how many survived and which route the shrink took.
+The loop keeps three iterates: the last shrink (M, and V, the right
+singular vectors of M's nonzero singular values), Lambda and rho. Each
+shrink starts from the last one's V and, when that certifies, computes
+only the singular values above 1/rho (see spectral); the trace records how
+many survived and which route the shrink took.
 """
 
 from __future__ import annotations
@@ -113,27 +114,6 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    """ADMM iterates M, Lambda, rho; solve starts them at 0, 0, rho0, at unit scale.
-
-    Lambda is zero off the observed set, so it is stored as a vector over it,
-    in the row-major order of np.flatnonzero(mask) (the solve's index omega).
-    The complement fill E is implicit: -M off the observed set, 0 on it.
-    V holds the right singular vectors of M's nonzero singular values (a
-    factor of M, n x 0 for M = 0); the shrink step warm-starts from it.
-    """
-
-    M: np.ndarray
-    Lambda: np.ndarray
-    rho: float
-    V: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.V is None:
-            self.V = np.zeros((self.M.shape[1], 0))
-
-
-@dataclass
 class IterTrace:
     """Per-iteration history of a solve run.
 
@@ -174,15 +154,15 @@ class IterTrace:
                 )
 
 
-def update_m(state: SolverState, x: np.ndarray, config: SolverConfig,
-             omega: np.ndarray) -> Shrinkage:
+def update_m(prev: Shrinkage, x: np.ndarray, Lambda: np.ndarray, rho: float,
+             penalty: Penalty, omega: np.ndarray) -> Shrinkage:
     """Estimate update: singular-value shrinkage at threshold 1/rho of D = X - E +
     Lambda/rho, which with the implicit E is x + Lambda/rho on the observed set (flat
-    index omega, x the observed values in its order) and M off it, warm-started from
-    the estimate's right singular vectors."""
-    D = state.M.copy()
-    D.reshape(-1)[omega] = x + state.Lambda / state.rho  # a view: np.put costs 3x
-    return shrink_singular_values(D, config.penalty, start=state.V, scale=1.0 / state.rho)
+    index omega, x the observed values and Lambda the multiplier in its order) and
+    M = prev.M off it, warm-started from prev.V."""
+    D = prev.M.copy()
+    D.reshape(-1)[omega] = x + Lambda / rho  # a view: np.put costs 3x
+    return shrink_singular_values(D, penalty, start=prev.V, scale=1.0 / rho)
 
 
 def update_e(M_new: np.ndarray, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -195,15 +175,10 @@ def update_e(M_new: np.ndarray, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return x - M_new.take(omega)
 
 
-def update_multiplier_and_rho(state: SolverState, residual: np.ndarray,
-                              config: SolverConfig) -> SolverState:
-    """Multiplier step on the residual, then grow rho by mu."""
-    return SolverState(
-        M=state.M,
-        Lambda=state.Lambda + state.rho * residual,
-        rho=config.mu * state.rho,
-        V=state.V,
-    )
+def update_multiplier_and_rho(Lambda: np.ndarray, rho: float, residual: np.ndarray,
+                              mu: float) -> tuple:
+    """Multiplier step on the residual, then grow rho by mu: (Lambda, rho)."""
+    return Lambda + rho * residual, mu * rho
 
 
 def _ldexp_finite(values, e: int, what: str) -> np.ndarray:
@@ -242,29 +217,28 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     if rho == 0.0:
         raise DomainError(f"rho0 {config.rho0!r} underflows at the data's scale")
     del unit  # the loop reads x: one m x n array less at its peak
-    state = SolverState(M=np.zeros(X.shape), Lambda=np.zeros(omega.size), rho=rho)
+    last = Shrinkage(np.zeros(X.shape), np.zeros(0), np.zeros((X.shape[1], 0)), "none")  # M = 0
+    Lambda = np.zeros(omega.size)
 
     with blas.limit(blas.per_solve(X.values.size)):
         trace.blas_threads = blas.threads()
         while True:
             t0 = time.perf_counter()
-            rho_k = state.rho
+            rho_k = rho
             if not math.isfinite(rho_k):
                 raise NonFiniteIterate(f"rho overflowed at iteration {trace.iters + 1}")
             try:
-                shrunk = update_m(state, x, config, omega)
-            except NonFiniteInput as exc:
+                shrunk = update_m(last, x, Lambda, rho, config.penalty, omega)
+            except (NonFiniteInput, NonFiniteIterate) as exc:
                 raise NonFiniteIterate(
                     f"iterates went non-finite at iteration {trace.iters + 1}: {exc}"
                 ) from exc
-            if not shrunk.finite:
-                raise NonFiniteIterate(f"estimate went non-finite at iteration {trace.iters + 1}")
             residual = update_e(shrunk.M, x, omega)
-            delta_m = float(np.linalg.norm(shrunk.M - state.M))
-            state.M, state.V = shrunk.M, shrunk.V
+            delta_m = float(np.linalg.norm(shrunk.M - last.M))
+            last = shrunk
             feas = float(np.linalg.norm(residual))
             rel_e = feas / norm_x
-            state = update_multiplier_and_rho(state, residual, config)
+            Lambda, rho = update_multiplier_and_rho(Lambda, rho, residual, config.mu)
             elapsed = time.perf_counter() - t0
 
             trace.rel_e.append(rel_e)
@@ -284,7 +258,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     trace.delta_m = _ldexp_finite(trace.delta_m, e, "delta_M").tolist()
     trace.feas = _ldexp_finite(trace.feas, e, "feas").tolist()
     trace.rho = _ldexp_finite(trace.rho, -e, "rho").tolist()
-    return _ldexp_finite(state.M, e, "the estimate M"), trace
+    return _ldexp_finite(last.M, e, "the estimate M"), trace
 
 
 DIAGNOSTIC_WINDOW = 10   # trailing iterations over which feasibility must fall

@@ -34,7 +34,8 @@ class SvdFailure(SirmcError, RuntimeError):
 
 
 class NonFiniteIterate(SirmcError, RuntimeError):
-    """Solver iterate went NaN/inf; aborting instead of emitting garbage."""
+    """A computed iterate went NaN/inf (a solver iterate, or the factors of a
+    shrink); aborting instead of emitting garbage."""
 
 
 class ZeroNormInput(SirmcError, ValueError):

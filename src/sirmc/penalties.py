@@ -115,11 +115,13 @@ class Penalty:
             raise DomainError(f"{self.kind} penalty: only generic takes a generator, and needs one")
         if self.kind not in GENERATORS and self.shape is not None:
             raise DomainError(f"{self.kind} penalty takes no shape, got {self.shape}")
-        q = self.lam * self.lam + 4.0 * (self.shape or 0.0) * (self.shape or 0.0)
-        if not math.isfinite(q * q):  # gmc's h'(lam) forms (lam^2 + 4 shape^2)^2
-            raise DomainError(f"lam {self.lam} and shape {self.shape} overflow the loss")
         if self.kind in GENERATORS:
+            q = self.lam * self.lam + 4.0 * self.shape * self.shape
+            if not math.isfinite(q * q):  # gmc's h'(lam) forms (lam^2 + 4 shape^2)^2
+                raise DomainError(f"lam {self.lam} and shape {self.shape} overflow the loss")
             object.__setattr__(self, "generator", GENERATORS[self.kind](self.shape))
+        elif not math.isfinite(self.lam * self.lam):  # soft's loss and the splice form lam^2
+            raise DomainError(f"lam {self.lam}: lam^2 would overflow the loss")
 
 
 def soft_threshold(lam: float) -> Penalty:
@@ -234,7 +236,11 @@ def validate(penalty: Penalty) -> None:
     x^2/2 - loss(x) is convex, and h'' < 0 beyond the threshold, so the
     shrinkage amount decays there. The hybrid kinds, whose second test is the
     shape bound sigma <= sqrt(2)*lam, gamma <= lam, tau <= sqrt(3)/2*lam, are
-    certified at unit scale, where no square of lam under- or overflows.
+    certified at unit scale, where no square of lam under- or overflows. A
+    generic penalty is certified at its own lam, since its generator has no
+    shape to rescale: below about lam = 1e-160 the built-in generators are
+    refused with a typed error although they are valid there. The solver
+    builds only unit penalties.
     """
     if penalty.generator is None:
         return

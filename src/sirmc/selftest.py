@@ -124,16 +124,16 @@ def suite_spectral(seed: int = 0) -> SuiteResult:
         worst_spec = worst_unitary = 0.0
         for _ in range(5):
             D = rng.standard_normal((12, 8)) * 1.5
-            out = shrink_singular_values(D, p)
+            out = shrink_singular_values(D, p).M
             s_in = np.linalg.svd(D, compute_uv=False)
             s_out = np.linalg.svd(out, compute_uv=False)
             expected = np.sort(np.asarray(prox_eval(p, s_in)))[::-1]
             worst_spec = max(worst_spec, float(np.max(np.abs(s_out - expected))))
             Q1, _ = np.linalg.qr(rng.standard_normal((12, 12)))
             Q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-            rotated = shrink_singular_values(Q1 @ D @ Q2.T, p)
+            rotated = shrink_singular_values(Q1 @ D @ Q2.T, p).M
             worst_unitary = max(worst_unitary, float(np.max(np.abs(rotated - Q1 @ out @ Q2.T))))
-        zero_ok = np.all(shrink_singular_values(0.5 * np.eye(6), p) == 0.0)
+        zero_ok = np.all(shrink_singular_values(0.5 * np.eye(6), p).M == 0.0)
         ok &= worst_spec <= 1e-8 and worst_unitary <= 1e-8 and bool(zero_ok)
         details.append(f"{p.kind}: spec {worst_spec:.2g}, unit {worst_unitary:.2g}")
     return _result("spectral_shrinkage", ok, "; ".join(details))
@@ -175,7 +175,7 @@ def suite_truncated_shrink(seed: int = 0) -> SuiteResult:
         s = SvdTriplet.of(D).S
         for p in default_penalties():
             out = shrink_singular_values(D, p, start=V[:, :width])
-            err = float(np.max(np.abs(out.M - shrink_singular_values(D, p)))) / s[0]
+            err = float(np.max(np.abs(out.M - shrink_singular_values(D, p).M))) / s[0]
             worst = max(worst, err)
             routes[out.route] += 1
             if out.rank != np.count_nonzero(np.asarray(prox_eval(p, s))) or err > 1e-10:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox  # at load, not in the first timed shrink
 
-from .errors import NonFiniteInput, SvdFailure
+from .errors import NonFiniteInput, NonFiniteIterate, SvdFailure
 from .penalties import Penalty, prox_eval
 
 # Truncated SVD constants (fixed; not configuration).
@@ -170,17 +170,14 @@ def norm_estimate(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Shrinkage:
-    """A warm-started shrink M = U @ diag(S) @ V.T: S holds the nonzero
-    shrunk singular values and V their right singular vectors (the next
-    shrink's warm start); `route` is the SvdTriplet's, and `finite` says
-    whether the factors M was formed from are finite, which makes M finite
-    (|M_ij| <= max S for orthonormal U and V)."""
+    """A shrink M = U @ diag(S) @ V.T: S holds the nonzero shrunk singular
+    values and V their right singular vectors (the next shrink's warm
+    start); `route` is the SvdTriplet's."""
 
     M: np.ndarray
     S: np.ndarray
     V: np.ndarray
     route: str
-    finite: bool
 
     @property
     def rank(self) -> int:
@@ -188,15 +185,18 @@ class Shrinkage:
 
 
 def shrink_singular_values(D: np.ndarray, penalty: Penalty,
-                           start: np.ndarray | None = None, scale: float = 1.0):
-    """Return U @ diag(P(sigma_i)) @ V.T where P(x) = scale * prox(x / scale),
-    the penalty's prox scaled to threshold lam = scale * penalty.lam.
+                           start: np.ndarray | None = None, scale: float = 1.0) -> Shrinkage:
+    """The Shrinkage M = U @ diag(P(sigma_i)) @ V.T of D, where P(x) =
+    scale * prox(x / scale) is the penalty's prox scaled to threshold
+    lam = scale * penalty.lam.
 
     Any input with spectral norm <= lam maps to the zero matrix. Without
-    `start` this is the dense SVD and returns the matrix. With `start`, the
-    right singular vectors of the previous shrink's kept values (n x 0 at
-    first), only the values above lam are computed when a route certifies
-    (see `SvdTriplet.of`), and a `Shrinkage` is returned.
+    `start` this is the dense SVD. With `start`, the right singular vectors
+    of the previous shrink's kept values (n x 0 at first), only the values
+    above lam are computed when a route certifies (see `SvdTriplet.of`).
+    A non-finite D is a NonFiniteInput. Non-finite factors (at a tiny
+    scale the shrunk values overflow) are a NonFiniteIterate, raised before
+    M is formed; finite ones make M finite (|M_ij| <= max S).
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2:
@@ -204,10 +204,9 @@ def shrink_singular_values(D: np.ndarray, penalty: Penalty,
     if not np.isfinite(D).all():
         raise NonFiniteInput("matrix contains NaN or inf")
     svd = SvdTriplet.of(D, above=scale * penalty.lam, start=start)
-    s = scale * prox_eval(penalty, svd.S / scale)
-    if start is None:
-        return (svd.U * s) @ svd.V.T
-    finite = bool(np.isfinite(s).all() and np.isfinite(svd.U).all()
-                  and np.isfinite(svd.V).all())
+    with np.errstate(all="ignore"):  # an overflow or nan fails the check below, typed
+        s = scale * prox_eval(penalty, svd.S / scale)
+    if not (np.isfinite(s).all() and np.isfinite(svd.U).all() and np.isfinite(svd.V).all()):
+        raise NonFiniteIterate(f"shrunk factors not finite at scale {scale!r}")
     keep = s != 0.0
-    return Shrinkage((svd.U * s) @ svd.V.T, s[keep], svd.V[:, keep], svd.route, finite)
+    return Shrinkage((svd.U * s) @ svd.V.T, s[keep], svd.V[:, keep], svd.route)

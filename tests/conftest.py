@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -85,3 +88,15 @@ def penalty(request):
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(12345)))
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """The benchmark's perfbench/tracing.py as a fresh module, loaded read-only:
+    no bytecode is written beside it and nothing is added to sys.path."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -99,14 +99,14 @@ def test_04_spectral_shrinkage():
     for p in boundary_penalties():
         for _ in range(20):
             D = rng.standard_normal((30, 20)) * 2.0
-            out = shrink_singular_values(D, p)
+            out = shrink_singular_values(D, p).M
             s_in = np.linalg.svd(D, compute_uv=False)
             s_out = np.linalg.svd(out, compute_uv=False)
             expected = np.sort(np.asarray(prox_eval(p, s_in)))[::-1]
             worst_spec = max(worst_spec, float(np.max(np.abs(s_out - expected))))
             Q1, _ = np.linalg.qr(rng.standard_normal((30, 30)))
             Q2, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-            direct = shrink_singular_values(Q1 @ D @ Q2.T, p)
+            direct = shrink_singular_values(Q1 @ D @ Q2.T, p).M
             worst_unit = max(worst_unit, float(np.max(np.abs(direct - Q1 @ out @ Q2.T))))
     ok = worst_spec <= 1e-8 and worst_unit <= 1e-8
     _report(4, "spectrum contract and unitary invariance on 20 random 30x20 per penalty",

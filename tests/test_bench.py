@@ -1,6 +1,5 @@
 """Synthetic data generation, RMSE scoring, sweeps and the runtime table."""
 
-import pathlib
 import time
 from collections import Counter
 
@@ -13,7 +12,6 @@ from sirmc import (IterTrace, SyntheticSpec, TrialReport, gen_synthetic, phase_s
 from sirmc.cli import main
 from sirmc.errors import InvalidSpec, ShapeMismatch
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
 FAST = dict(mu=1.3, max_iters=120, xi=1e-7)
 FAST_SOLVER = ["--mu", "1.3", "--max-iters", "120"]
 
@@ -238,13 +236,10 @@ class TestRuntimeBench:
         assert lines[1:] == [f"2,nnm,{means[0]!r},2", f"4,nnm,{means[1]!r},2"]
 
 
-def test_benchmark_tracer_sees_each_sweep_task(monkeypatch):
+def test_benchmark_tracer_sees_each_sweep_task(tracing):
     # The benchmark's tracer patches bench.gen_synthetic, bench.solve and
     # bench.rmse, which the sweep looks up at call time; sweeps and runtime
     # tables must draw and solve every task through them, pool or not.
-    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
-    import tracing
-
     methods = ("how", "nnm")
     configs = {m: bench.config_for_method(m, **FAST) for m in methods}
     tracer = tracing.Tracer()

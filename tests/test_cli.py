@@ -244,11 +244,15 @@ class TestBench:
         assert lines[0] == "rank,method,mean_seconds,trials"
         assert len(lines) == 1 + 2 * 2
 
-    def test_empty_ranks_header_only(self, tmp_path):
+    @pytest.mark.parametrize("ranks", [[], ["--ranks", ""]], ids=["missing", "empty"])
+    def test_missing_or_empty_ranks_is_a_usage_error(self, tmp_path, capsys, ranks):
+        # A table of no ranks would be a header alone, written with exit 0.
         out = tmp_path / "rt.csv"
-        code = main(["bench", "--ranks", "", "--trials", "1", "--out", str(out)])
-        assert code == 0
-        assert out.read_text().splitlines() == ["rank,method,mean_seconds,trials"]
+        code = main(["bench", *ranks, "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: --ranks: expected comma-separated integers, got ''"]
+        assert not out.exists()
 
 
 class TestProxCurve:

@@ -3,18 +3,17 @@ convergence behavior, diagnostics, and parity with the dense three-block
 reference loop."""
 
 import math
-import pathlib
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sirmc
 from sirmc import (
     IterTrace,
     ObservedMatrix,
     SolverConfig,
-    SolverState,
     convergence_diagnostics,
     gen_synthetic,
     generic,
@@ -28,7 +27,7 @@ from sirmc import (
     SyntheticSpec,
     welsch_generator,
 )
-from sirmc import bench, completion, spectral
+from sirmc import bench, cli, completion, matio, spectral
 from sirmc.completion import update_e, update_m, update_multiplier_and_rho
 from sirmc.errors import (
     BiasConstraintViolated,
@@ -40,10 +39,9 @@ from sirmc.errors import (
     ZeroNormInput,
 )
 from sirmc.penalties import STRICT_SHAPE_RATIO
+from sirmc.spectral import Shrinkage
 
 from conftest import GENERATOR_TWINS
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _full(values):
@@ -58,9 +56,16 @@ def _observed(X):
     return X.values.take(omega), omega
 
 
-def _zero_state(X, rho):
-    """M = Lambda = 0 at the given rho: the state a solve starts from."""
-    return SolverState(M=np.zeros(X.shape), Lambda=np.zeros(X.n_observed), rho=rho)
+def _start(M):
+    """M as the last shrink, with no warm start: M = 0 is what a solve starts from."""
+    return Shrinkage(M, np.zeros(0), np.zeros((M.shape[1], 0)), "none")
+
+
+def _first_shrink(X, cfg):
+    """update_m's M from a solve's start, M = Lambda = 0, at rho = cfg.rho0."""
+    x, omega = _observed(X)
+    return update_m(_start(np.zeros(X.shape)), x, np.zeros(x.size), cfg.rho0, cfg.penalty,
+                    omega).M
 
 
 def _start_rho(X, config):
@@ -129,8 +134,8 @@ class TestSolverConfig:
         unit = np.linspace(0.0, 6.0, 9)
         for lam in np.logspace(-3.0, 3.0, 25):
             D = (Q1[:, :9] * (lam * unit)) @ Q2.T
-            out = shrink_singular_values(D, how(1.0), scale=lam)
-            expected = shrink_singular_values(D, how(lam, math.sqrt(2.0) * lam))
+            out = shrink_singular_values(D, how(1.0), scale=lam).M
+            expected = shrink_singular_values(D, how(lam, math.sqrt(2.0) * lam)).M
             assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected)), lam
 
     def test_penalty_must_be_the_unit_penalty(self):
@@ -154,25 +159,19 @@ class TestUpdateM:
         rng = np.random.Generator(np.random.Philox(3))
         X = _full(rng.standard_normal((6, 5)) * 50.0)
         cfg = SolverConfig(rho0=1.0)
-        state = _zero_state(X, cfg.rho0)
-        x, omega = _observed(X)
-        out = update_m(state, x, cfg, omega).M
-        assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty),
+        out = _first_shrink(X, cfg)
+        assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty).M,
                            atol=1e-12)
 
     def test_subthreshold_data_maps_to_zero(self):
         X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
         cfg = SolverConfig(rho0=1e-2)
-        state = _zero_state(X, cfg.rho0)
-        x, omega = _observed(X)
-        assert np.array_equal(update_m(state, x, cfg, omega).M, np.zeros((2, 2)))
+        assert np.array_equal(_first_shrink(X, cfg), np.zeros((2, 2)))
 
     def test_two_by_two_diagonal_case(self):
         X = _full(np.array([[3.0, 0.0], [0.0, 0.5]]))
         cfg = SolverConfig(rho0=1.0)
-        state = _zero_state(X, cfg.rho0)
-        x, omega = _observed(X)
-        out = update_m(state, x, cfg, omega).M
+        out = _first_shrink(X, cfg)
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
 
     def test_flat_scatter_builds_d_bitwise(self, monkeypatch):
@@ -181,15 +180,15 @@ class TestUpdateM:
         rng = np.random.Generator(np.random.Philox(8))
         X = ObservedMatrix(rng.standard_normal((7, 5)), rng.random((7, 5)) < 0.6)
         M = rng.standard_normal((7, 5))
-        state = SolverState(M=M.copy(), Lambda=rng.standard_normal(X.n_observed), rho=0.7)
+        prev, Lambda, rho = _start(M.copy()), rng.standard_normal(X.n_observed), 0.7
         seen = []
         monkeypatch.setattr(completion, "shrink_singular_values",
                             lambda D, *args, **kwargs: seen.append(D.copy()))
         x, omega = _observed(X)
-        update_m(state, x, SolverConfig(), omega)
-        expected = np.where(X.mask, X.values + _on_grid(state.Lambda, X) / state.rho, M)
+        update_m(prev, x, Lambda, rho, SolverConfig().penalty, omega)
+        expected = np.where(X.mask, X.values + _on_grid(Lambda, X) / rho, M)
         assert np.array_equal(seen[0], expected)
-        assert np.array_equal(state.M, M)
+        assert np.array_equal(prev.M, M)
 
     def test_optimality_against_regularizer_oracle(self):
         # The shrinkage output must beat random perturbations on the
@@ -199,21 +198,20 @@ class TestUpdateM:
         mask = np.array([[True, True, False], [True, False, True], [True, True, True]])
         X = ObservedMatrix(rng.standard_normal((3, 3)) * 2.0, mask)
         cfg = SolverConfig(rho0=1.0)
-        state = _zero_state(X, cfg.rho0)
-        state.M = rng.standard_normal((3, 3))
+        rho = cfg.rho0
+        M = rng.standard_normal((3, 3))
         Lam = np.where(mask, rng.standard_normal((3, 3)) * 0.1, 0.0)
-        state.Lambda = Lam[mask]
-        E = np.where(mask, 0.0, -state.M)  # the implicit complement fill
-        D = X.values - E + Lam / state.rho
+        E = np.where(mask, 0.0, -M)  # the implicit complement fill
+        D = X.values - E + Lam / rho
         x, omega = _observed(X)
-        M_star = update_m(state, x, cfg, omega).M
+        M_star = update_m(_start(M), x, Lam[mask], rho, cfg.penalty, omega).M
         penalty = cfg.penalty  # rho0 = 1: the threshold is 1
         grid_tol = penalty.lam / 200
 
         def objective(M):
             sv = np.linalg.svd(M, compute_uv=False)
             reg = float(np.sum(implicit_regularizer(penalty, sv)))
-            return reg / state.rho + 0.5 * float(np.sum((D - M) ** 2))
+            return reg / rho + 0.5 * float(np.sum((D - M) ** 2))
 
         base = objective(M_star)
         for _ in range(200):
@@ -256,14 +254,13 @@ class TestUpdateE:
         mask = rng.uniform(size=(5, 4)) < 0.6
         mask[0, 0] = True
         X = ObservedMatrix(np.where(mask, rng.standard_normal((5, 4)), 0.0), mask)
-        state = SolverState(M=rng.standard_normal((5, 4)),
-                            Lambda=rng.standard_normal((5, 4))[mask], rho=2.5)
+        Lambda, rho = rng.standard_normal((5, 4))[mask], 2.5
         M_new = rng.standard_normal((5, 4))
         E_star = X.values - M_new - _on_grid(update_e(M_new, *_observed(X)), X)
         assert np.array_equal(E_star[mask], np.zeros(int(mask.sum())))
 
         def objective(E):
-            target = X.values - M_new + _on_grid(state.Lambda, X) / state.rho
+            target = X.values - M_new + _on_grid(Lambda, X) / rho
             return 0.5 * float(np.sum((target[~mask] - E[~mask]) ** 2))
 
         base = objective(E_star)
@@ -274,18 +271,17 @@ class TestUpdateE:
 
 class TestMultiplierAndRho:
     def test_zero_residual_leaves_multiplier(self):
-        state = SolverState(M=np.ones((2, 2)), Lambda=np.full(4, 0.3), rho=1.0)
-        cfg = SolverConfig()
-        new = update_multiplier_and_rho(state, np.zeros(4), cfg)
-        assert np.array_equal(new.Lambda, state.Lambda)
-        assert new.rho == pytest.approx(1.05, rel=1e-15)
+        Lambda = np.full(4, 0.3)
+        new_Lambda, new_rho = update_multiplier_and_rho(Lambda, 1.0, np.zeros(4), SolverConfig().mu)
+        assert np.array_equal(new_Lambda, Lambda)
+        assert new_rho == pytest.approx(1.05, rel=1e-15)
 
     def test_residual_arithmetic(self):
         mask = np.array([[True]])
         X = ObservedMatrix(np.array([[3.0]]), mask)
-        state = SolverState(M=np.array([[1.0]]), Lambda=np.array([1.0]), rho=3.0)
-        new = update_multiplier_and_rho(state, update_e(state.M, *_observed(X)), SolverConfig())
-        assert new.Lambda[0] == pytest.approx(1.0 + 3.0 * 2.0, rel=1e-15)
+        residual = update_e(np.array([[1.0]]), *_observed(X))
+        new_Lambda, _ = update_multiplier_and_rho(np.array([1.0]), 3.0, residual, SolverConfig().mu)
+        assert new_Lambda[0] == pytest.approx(1.0 + 3.0 * 2.0, rel=1e-15)
 
 
 class TestSolve:
@@ -301,18 +297,19 @@ class TestSolve:
         spec = SyntheticSpec(m=20, n=15, f_r=0.1, f_m=0.3, seed=9)
         _, X_obs = gen_synthetic(spec)
         cfg = SolverConfig(max_iters=40)
-        state = _zero_state(X_obs, _start_rho(X_obs, cfg))
+        last, Lambda, rho = (_start(np.zeros(X_obs.shape)), np.zeros(X_obs.n_observed),
+                             _start_rho(X_obs, cfg))
         off, (x, omega) = ~X_obs.mask, _observed(X_obs)
         for _ in range(10):
-            M_new = update_m(state, x, cfg, omega).M
+            last = update_m(last, x, Lambda, rho, cfg.penalty, omega)
+            M_new = last.M
             r = update_e(M_new, x, omega)
             residual = _on_grid(r, X_obs)
             E = X_obs.values - M_new - residual
             assert np.array_equal(E[X_obs.mask], np.zeros(X_obs.n_observed))
             assert np.array_equal(residual[off], np.zeros(int(off.sum())))
-            state.M = M_new
-            state = update_multiplier_and_rho(state, r, cfg)
-            assert np.array_equal(_on_grid(state.Lambda, X_obs)[off], np.zeros(int(off.sum())))
+            Lambda, rho = update_multiplier_and_rho(Lambda, rho, r, cfg.mu)
+            assert np.array_equal(_on_grid(Lambda, X_obs)[off], np.zeros(int(off.sum())))
 
     def test_rho_schedule_is_exact_geometric(self):
         spec = SyntheticSpec(m=10, n=8, f_r=0.2, f_m=0.2, seed=1)
@@ -440,7 +437,7 @@ def _reference_solve(X, config):
     rho = _start_rho(X, config)
     rel_e = []
     while True:
-        M = shrink_singular_values(X.values - E + Lam / rho, config.penalty, scale=1.0 / rho)
+        M = shrink_singular_values(X.values - E + Lam / rho, config.penalty, scale=1.0 / rho).M
         E = np.where(X.mask, 0.0, Lam / rho - M)
         residual = X.values - M - E
         rel_e.append(float(np.linalg.norm(residual)) / norm_x)
@@ -478,12 +475,13 @@ def test_generator_twin_solves_like_its_closed_form(method):
     assert trace_twin.iters == trace.iters and np.array_equal(M_twin, M)
 
 
-def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
-    # The benchmark's tracer patches the module attributes that solve looks
-    # up at call time; renaming or inlining a step would break traced runs.
-    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
-    import tracing
-
+def test_benchmark_tracer_sees_each_step_once_per_iteration(tracing):
+    # The benchmark's tracer patches the module attributes that solve and
+    # the shrink look up at call time; renaming or inlining a step would
+    # break traced runs. Uninstalling puts every attribute back.
+    owners = (sirmc, completion, spectral, spectral.SvdTriplet, completion.IterTrace, bench,
+              cli, matio)
+    before = [dict(vars(owner)) for owner in owners]
     _, X_obs = gen_synthetic(SyntheticSpec(m=20, n=15, f_r=0.1, f_m=0.3, seed=9))
     tracer = tracing.Tracer()
     tracer.install()
@@ -493,10 +491,15 @@ def test_benchmark_tracer_sees_each_step_once_per_iteration(monkeypatch):
         tracer.uninstall()
     counts = Counter(span[2] for span in tracer.spans)
     assert counts["completion.solve"] == 1
-    for step in ("update_m", "update_e", "update_multiplier_and_rho"):
-        assert counts[f"completion.{step}"] == trace.iters
-    assert counts["spectral.svd"] == trace.iters
+    for step in ("completion.update_m", "completion.update_e",
+                 "completion.update_multiplier_and_rho", "spectral.shrink_singular_values",
+                 "penalties.prox_eval", "spectral.svd"):
+        assert counts[step] == trace.iters, step
     assert tracing.solve_parts_fault(tracer.spans) is None
+    for owner, attrs in zip(owners, before):
+        after = vars(owner)
+        assert after.keys() == attrs.keys(), owner
+        assert all(after[name] is value for name, value in attrs.items()), owner
 
 
 def _protocol_instance(f_r=0.05, f_m=0.3):

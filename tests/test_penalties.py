@@ -96,12 +96,27 @@ class TestValidate:
             build()
         hog(1e76)  # just below the bound
 
+    @pytest.mark.parametrize("build", [
+        lambda: soft_threshold(1e100),
+        lambda: generic(1e150, welsch_generator(math.sqrt(2.0) * 1e150))], ids=["soft", "generic"])
+    def test_shapeless_kinds_are_bounded_by_lam_squared(self, build):
+        # soft's loss and the generic splice form lam^2 and no shape term, so
+        # they are bounded by lam^2 alone, and their refusal names no shape.
+        penalty = build()
+        validate(penalty)
+        x = 3.0 * penalty.lam
+        assert math.isfinite(prox_eval(penalty, x)) and math.isfinite(loss_eval(penalty, x))
+        with pytest.raises(DomainError, match="overflow the loss") as caught:
+            Penalty(penalty.kind, 1e155, generator=penalty.generator)
+        assert "shape" not in str(caught.value)
+
     @pytest.mark.parametrize("lam", [1e-300, 1e-160, 1.0, 1e76])
     @pytest.mark.parametrize("kind", list(METHODS.values()))
     def test_every_kind_validates_silently_at_any_scale(self, kind, lam):
         # Certified at unit scale. At lam itself, how's sigma^2 underflowed at
         # 1e-160 (h'' lost its sign) and hoc's h'' overflowed. 1e76 is the top
-        # decade the loss's overflow bound above admits for every kind.
+        # decade the shaped kinds' overflow bound, (lam^2 + 4 shape^2)^2 finite,
+        # admits; soft's, lam^2 finite, admits up to about 1e154.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             validate(make_penalty(kind, lam))

@@ -8,7 +8,7 @@ import pytest
 
 from sirmc import (SvdTriplet, bench, how, prox_eval, shrink_singular_values, soft_threshold,
                    solve, spectral)
-from sirmc.errors import NonFiniteInput, SvdFailure
+from sirmc.errors import NonFiniteInput, NonFiniteIterate, SvdFailure
 from sirmc.spectral import norm_estimate
 from sirmc.selftest import TRUNCATION_CASES, planted
 
@@ -30,7 +30,7 @@ def test_svd_triplet_invariants(rng):
 
 def test_diagonal_example():
     D = np.diag([3.0, 1.5, 0.5])
-    out = shrink_singular_values(D, how(1.0))
+    out = shrink_singular_values(D, how(1.0)).M
     expected = np.diag([3.0 - 3.0 * math.exp(-4.0),
                         1.5 - 1.5 * math.exp(-0.625),
                         0.0])
@@ -38,7 +38,7 @@ def test_diagonal_example():
 
 
 def test_zero_matrix_maps_to_zero():
-    assert np.array_equal(shrink_singular_values(np.zeros((4, 7)), how(1.0)),
+    assert np.array_equal(shrink_singular_values(np.zeros((4, 7)), how(1.0)).M,
                           np.zeros((4, 7)))
 
 
@@ -49,14 +49,14 @@ def test_rotated_diagonal_example(rng):
     expected = Q1 @ np.diag([3.0 - 3.0 * math.exp(-4.0),
                              1.5 - 1.5 * math.exp(-0.625),
                              0.0]) @ Q2.T
-    out = shrink_singular_values(Q1 @ D0 @ Q2.T, how(1.0))
+    out = shrink_singular_values(Q1 @ D0 @ Q2.T, how(1.0)).M
     assert np.max(np.abs(out - expected)) <= 1e-8
 
 
 def test_spectrum_contract(rng, penalty):
     for _ in range(5):
         D = rng.standard_normal((12, 9)) * 2.0
-        out = shrink_singular_values(D, penalty)
+        out = shrink_singular_values(D, penalty).M
         s_in = np.linalg.svd(D, compute_uv=False)
         s_out = np.linalg.svd(out, compute_uv=False)
         expected = np.sort(np.asarray(prox_eval(penalty, s_in)))[::-1]
@@ -68,15 +68,15 @@ def test_unitary_invariance(rng, penalty):
         D = rng.standard_normal((10, 6)) * 1.5
         Q1 = _rand_orthogonal(rng, 10)
         Q2 = _rand_orthogonal(rng, 6)
-        direct = shrink_singular_values(Q1 @ D @ Q2.T, penalty)
-        rotated = Q1 @ shrink_singular_values(D, penalty) @ Q2.T
+        direct = shrink_singular_values(Q1 @ D @ Q2.T, penalty).M
+        rotated = Q1 @ shrink_singular_values(D, penalty).M @ Q2.T
         assert np.max(np.abs(direct - rotated)) <= 1e-8
 
 
 def test_subthreshold_spectral_norm_maps_to_zero(rng, penalty):
     D = rng.standard_normal((8, 5))
     D *= 0.9 / np.linalg.norm(D, 2)  # spectral norm below lam = 1
-    assert np.array_equal(shrink_singular_values(D, penalty), np.zeros((8, 5)))
+    assert np.array_equal(shrink_singular_values(D, penalty).M, np.zeros((8, 5)))
 
 
 def test_rank_never_increases(rng, penalty):
@@ -84,7 +84,7 @@ def test_rank_never_increases(rng, penalty):
         U = rng.standard_normal((10, 3))
         V = rng.standard_normal((3, 7))
         D = U @ V
-        out = shrink_singular_values(D, penalty)
+        out = shrink_singular_values(D, penalty).M
         rank_in = np.sum(np.linalg.svd(D, compute_uv=False) > 1e-10)
         rank_out = np.sum(np.linalg.svd(out, compute_uv=False) > 1e-10)
         assert rank_out <= rank_in
@@ -95,7 +95,7 @@ def test_soft_matches_independent_svt(rng):
     lam = 0.8
     U, s, Vh = np.linalg.svd(D, full_matrices=False)
     svt = U @ np.diag(np.maximum(s - lam, 0.0)) @ Vh
-    out = shrink_singular_values(D, soft_threshold(lam))
+    out = shrink_singular_values(D, soft_threshold(lam)).M
     assert np.max(np.abs(out - svt)) <= 1e-10
 
 
@@ -104,6 +104,14 @@ def test_nonfinite_rejected():
     D[1, 1] = np.nan
     with pytest.raises(NonFiniteInput):
         shrink_singular_values(D, how(1.0))
+
+
+@pytest.mark.parametrize("start", [None, np.zeros((3, 0))], ids=["dense", "warm"])
+def test_nonfinite_factors_are_a_typed_error(start):
+    # At scale 1e-310 the shrunk values overflow to inf. The shrink raises
+    # before forming M from them, and with no RuntimeWarning (an error here).
+    with pytest.raises(NonFiniteIterate):
+        shrink_singular_values(10 * np.eye(3), soft_threshold(1.0), start=start, scale=1e-310)
 
 
 def test_svd_backend_failure_wrapped(monkeypatch):
@@ -128,7 +136,7 @@ def _matches_dense(D, penalty, start):
     out = shrink_singular_values(D, penalty, start=start)
     s = SvdTriplet.of(D).S  # the dense shrink's own spectrum, rounding included
     assert out.rank == np.count_nonzero(prox_eval(penalty, s))
-    assert np.max(np.abs(out.M - shrink_singular_values(D, penalty))) <= 1e-10 * s[0]
+    assert np.max(np.abs(out.M - shrink_singular_values(D, penalty).M)) <= 1e-10 * s[0]
     return out
 
 
@@ -154,7 +162,7 @@ def test_truncated_frobenius_shortcut_is_bitwise_dense(rng, penalty, scale):
     D *= scale / np.linalg.norm(D)
     out = shrink_singular_values(D, penalty, start=np.zeros((120, 0)))
     assert out.rank == 0 and out.route == "truncated"
-    assert out.M.tobytes() == shrink_singular_values(D, penalty).tobytes()
+    assert out.M.tobytes() == shrink_singular_values(D, penalty).M.tobytes()
 
 
 def test_truncated_nonfinite_rejected(rng):
