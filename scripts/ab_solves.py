@@ -15,8 +15,13 @@ for B and for one solve of the ulp control: the solves whose iteration
 counts, route sequences or kept-rank sequences differ, and max|M - M_A| /
 max|M_A|. The ulp control's figures are the roundoff floor of the solves: a
 last-bit change moves M that far, and can flip a shrink whose certificate
-sits at its bound. The last line of standard output is the whole record as
-JSON. The exit status is 1 when an iteration count of B differs, else 0.
+sits at its bound. For A and for B it then prints each side's summed
+iterations, its worst relative RMSE ||M - X||_F / ||X||_F against the
+truth, and the number of solves at a relative RMSE of at least
+FAILED_RMSE = 1e-3 (bench's success bound, made scale-free for the scaled
+protocol solves). The last line of standard output is the whole record as
+JSON. The exit status is 1 when an iteration count of B differs or B has
+more such failed solves than A, else 0.
 
 The sets mirror perfbench's workloads: protocol is 300x200 at (0.05, 0.3),
 four methods at scales 1e-2 and 1 plus scale 1e2 on the instance of seed
@@ -44,6 +49,7 @@ import numpy as np
 
 PROTOCOL_FIXED_SEED = 20240501
 ULP = 1.0 + 2.0 ** -52
+FAILED_RMSE = 1e-3
 
 
 def load(src, name, ulp=False):
@@ -63,17 +69,18 @@ def load(src, name, ulp=False):
 
 
 def cases(pkg, name, seeds):
-    """(label, values, mask, method, config overrides) of each solve in the set."""
+    """(label, truth, values, mask, method, config overrides) of each solve in
+    the set; truth and values share the solve's scale."""
     bench = pkg.bench
     out = []
 
     def add(spec, methods, scales=(1.0,), **overrides):
-        _, X = bench.gen_synthetic(spec)
+        truth, X = bench.gen_synthetic(spec)
         for scale in scales:
             for method in methods:
                 label = (f"{method} {spec.m}x{spec.n} ({spec.f_r}, {spec.f_m}) "
                          f"seed {spec.seed} x{scale:g}")
-                out.append((label, X.values * scale, X.mask, method, overrides))
+                out.append((label, truth * scale, X.values * scale, X.mask, method, overrides))
 
     for seed in seeds:
         if name == "protocol":
@@ -99,7 +106,7 @@ def cases(pkg, name, seeds):
 
 def run(pkg, case):
     """(wall seconds, M, trace) of one solve of `case` on the package."""
-    _, values, mask, method, overrides = case
+    _, _, values, mask, method, overrides = case
     X = pkg.ObservedMatrix(values, mask)
     config = pkg.bench.config_for_method(method, **overrides)
     t0 = time.perf_counter()
@@ -124,6 +131,15 @@ def compare(todo, first, side):
         out["max_rel_dM"] = max(out["max_rel_dM"],
                                 float(np.max(np.abs(M - Ma)) / np.max(np.abs(Ma))))
     return out
+
+
+def quality(todo, first, side):
+    """One side's first solves against the truth: summed iterations, the worst
+    relative RMSE and the number of solves at FAILED_RMSE or above."""
+    rel = [float(np.linalg.norm(first[side, k][0] - case[1]) / np.linalg.norm(case[1]))
+           for k, case in enumerate(todo)]
+    return {"iters": sum(first[side, k][1].iters for k in range(len(todo))),
+            "worst_rel_rmse": max(rel), "failed": sum(r >= FAILED_RMSE for r in rel)}
 
 
 SETS = ("protocol", "high-rank", "files", "sweep", "tiny")
@@ -170,11 +186,13 @@ def main(argv=None):
     for k, case in enumerate(todo):
         first["ulp", k] = run(ulp_side, case)[1:]
     parity = {side: compare(todo, first, side) for side in ("B", "ulp")}
+    scores = {side: quality(todo, first, side) for side in ("A", "B")}
     record = {
         "set": args.set, "seeds": seeds, "solves": len(todo), "rounds": args.rounds,
         "ratio_b_a": ratios, "ratio_a_a": controls,
         "median_b_a": statistics.median(ratios), "median_a_a": statistics.median(controls),
         "parity_b": parity["B"], "parity_ulp_control": parity["ulp"],
+        "quality_a": scores["A"], "quality_b": scores["B"],
     }
     print(f"{args.set}: {len(todo)} solves x {args.rounds} rounds; median B/A "
           f"{record['median_b_a']:.4f} (range {min(ratios):.4f}-{max(ratios):.4f}), "
@@ -187,8 +205,13 @@ def main(argv=None):
               f"max|dM|/max|M| {got['max_rel_dM']:.3g}")
     for line in parity["B"]["iters_changed"]:
         print(f"  iterations changed: {line}")
+    for side, got in scores.items():
+        print(f"quality of {side}: {got['iters']} iterations; worst relative RMSE "
+              f"{got['worst_rel_rmse']:.3g}; {got['failed']} of {len(todo)} solves at "
+              f"relative RMSE >= {FAILED_RMSE:g}")
     print(json.dumps(record))
-    return 1 if parity["B"]["iters_changed"] else 0
+    worse = scores["B"]["failed"] > scores["A"]["failed"]
+    return 1 if parity["B"]["iters_changed"] or worse else 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import bench, blas, matio, penalties
-from .completion import SolverConfig, convergence_diagnostics, solve
+from .completion import MU_SETTLED, SolverConfig, convergence_diagnostics, solve
 from .errors import DomainError, SirmcError, UsageError
 
 EXIT_OK = 0
@@ -58,7 +58,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="initial penalty parameter (default: 1 / the observed data's "
                         "spectral norm)")
     p.add_argument("--mu", type=float, default=SolverConfig.mu,
-                   help="penalty growth factor (default: %(default)s)")
+                   help="penalty growth factor; once the kept rank settles on a "
+                        f"well-sampled instance rho grows by max(mu, {MU_SETTLED}), so "
+                        f"--mu {MU_SETTLED} gives a plain geometric schedule "
+                        "(default: %(default)s)")
     p.add_argument("--xi", type=float, default=SolverConfig.xi,
                    help="relative-error stopping tolerance (default: %(default)s)")
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,

@@ -1,11 +1,14 @@
 """scripts/ab_solves.py on its tiny set: parity of a tree with itself, and a
-non-zero exit when the other tree changes an iteration count."""
+non-zero exit when the other tree changes an iteration count or fails more
+solves against the truth."""
 
 import json
 import pathlib
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "scripts" / "ab_solves.py"
@@ -18,6 +21,17 @@ def _ab(a_src, b_src):
     return proc, json.loads(proc.stdout.splitlines()[-1])
 
 
+def _changed_tree(tmp_path, old, new):
+    """A copy of the source tree with one edit to completion.py."""
+    shutil.copytree(REPO / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    completion = tmp_path / "src" / "sirmc" / "completion.py"
+    text = completion.read_text(encoding="utf-8")
+    assert old in text
+    completion.write_text(text.replace(old, new), encoding="utf-8")
+    return tmp_path
+
+
 def test_a_tree_is_at_parity_with_itself():
     proc, record = _ab(REPO, REPO)
     assert proc.returncode == 0, proc.stderr
@@ -26,16 +40,31 @@ def test_a_tree_is_at_parity_with_itself():
     assert same["iters_changed"] == same["routes_changed"] == same["kept_ranks_changed"] == []
     assert same["max_rel_dM"] == 0.0
     assert 0.0 < record["parity_ulp_control"]["max_rel_dM"] < 1e-10
+    assert record["quality_a"] == record["quality_b"]
+    assert record["quality_b"]["iters"] == 40 + 52
+    assert 0.0 < record["quality_b"]["worst_rel_rmse"] < 1e-6
+    assert record["quality_b"]["failed"] == 0
+    assert "quality of B: 92 iterations" in proc.stdout
 
 
 def test_a_changed_iteration_count_exits_one(tmp_path):
-    shutil.copytree(REPO / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    completion = tmp_path / "src" / "sirmc" / "completion.py"
-    text = completion.read_text(encoding="utf-8")
-    assert "mu: float = 1.05" in text
-    completion.write_text(text.replace("mu: float = 1.05", "mu: float = 1.5"), encoding="utf-8")
-    proc, record = _ab(REPO, tmp_path)
+    proc, record = _ab(REPO, _changed_tree(tmp_path, "mu: float = 1.05", "mu: float = 1.5"))
     assert proc.returncode == 1, proc.stderr
-    assert record["parity_b"]["iters_changed"] == ["how 60x40 (0.05, 0.3) seed 1 x1: 62 -> 39"]
+    assert record["parity_b"]["iters_changed"] == ["nnm 60x40 (0.05, 0.3) seed 1 x1: 40 -> 37",
+                                                   "how 60x40 (0.05, 0.3) seed 1 x1: 52 -> 39"]
     assert "iterations changed: how 60x40" in proc.stdout
+    assert record["quality_b"]["iters"] == 37 + 39 and record["quality_b"]["failed"] == 0
+
+
+def test_more_failed_solves_exit_one(tmp_path):
+    # B returns M off by 1% at the same iteration counts: only the truth
+    # tells the two trees apart.
+    b_src = _changed_tree(tmp_path, '_ldexp_finite(last.M, e, "the estimate M")',
+                          '1.01 * _ldexp_finite(last.M, e, "the estimate M")')
+    proc, record = _ab(REPO, b_src)
+    assert proc.returncode == 1, proc.stderr
+    assert record["parity_b"]["iters_changed"] == []
+    assert record["quality_a"]["failed"] == 0 and record["quality_b"]["failed"] == 2
+    assert record["quality_b"]["iters"] == record["quality_a"]["iters"]
+    assert record["quality_b"]["worst_rel_rmse"] == pytest.approx(0.01, rel=1e-3)
+    assert "2 of 2 solves at relative RMSE >= 0.001" in proc.stdout

@@ -28,7 +28,15 @@ from sirmc import (
     welsch_generator,
 )
 from sirmc import bench, cli, completion, matio, spectral
-from sirmc.completion import update_e, update_m, update_multiplier_and_rho
+from sirmc.completion import (
+    MU_SETTLED,
+    OVERSAMPLING,
+    RANK_HOLD,
+    rho_growth,
+    update_e,
+    update_m,
+    update_multiplier_and_rho,
+)
 from sirmc.errors import (
     BiasConstraintViolated,
     DomainError,
@@ -284,6 +292,53 @@ class TestMultiplierAndRho:
         assert new_Lambda[0] == pytest.approx(1.0 + 3.0 * 2.0, rel=1e-15)
 
 
+def _settled_trace(rank=2, fall=MU_SETTLED):
+    """RANK_HOLD + 1 shrinks at one rank, rel_E falling by fall per shrink,
+    after an earlier shrink at another rank."""
+    shrinks = RANK_HOLD + 1
+    return IterTrace(rel_e=[1.0] + [0.5 / fall ** k for k in range(shrinks)],
+                     kept_rank=[rank + 1] + [rank] * shrinks)
+
+
+class TestRhoGrowth:
+    shape = (60, 40)
+    n_observed = 1680
+
+    def growth(self, trace, mu=1.05, n_observed=None):
+        return rho_growth(mu, trace, self.n_observed if n_observed is None else n_observed,
+                          self.shape)
+
+    def test_settled_trace_speeds_up(self):
+        assert self.growth(_settled_trace()) == MU_SETTLED
+        assert self.growth(_settled_trace(), mu=1.1) == MU_SETTLED
+
+    @pytest.mark.parametrize("mu", [MU_SETTLED, 1.5])
+    def test_large_mu_is_kept(self, mu):
+        assert self.growth(_settled_trace(), mu=mu) == mu
+
+    def test_too_short_a_trace_keeps_mu(self):
+        trace = _settled_trace()
+        short = IterTrace(rel_e=trace.rel_e[-RANK_HOLD:], kept_rank=trace.kept_rank[-RANK_HOLD:])
+        assert self.growth(short) == 1.05
+
+    def test_a_rank_change_in_the_window_keeps_mu(self):
+        trace = _settled_trace()
+        trace.kept_rank[-RANK_HOLD - 1] += 1
+        assert self.growth(trace) == 1.05
+
+    def test_rank_zero_keeps_mu(self):
+        assert self.growth(_settled_trace(rank=0)) == 1.05
+
+    def test_undersampled_instance_keeps_mu(self):
+        bound = OVERSAMPLING * 2 * (60 + 40 - 2)
+        assert self.growth(_settled_trace(), n_observed=bound) == MU_SETTLED
+        assert self.growth(_settled_trace(), n_observed=bound - 1) == 1.05
+
+    def test_residual_slower_than_mu_keeps_mu(self):
+        assert self.growth(_settled_trace(fall=1.04)) == 1.05
+        assert self.growth(_settled_trace(fall=1.04), mu=1.04) == MU_SETTLED
+
+
 class TestSolve:
     def test_fully_observed_converges_to_data(self):
         rng = np.random.Generator(np.random.Philox(5))
@@ -312,14 +367,29 @@ class TestSolve:
             assert np.array_equal(_on_grid(Lambda, X_obs)[off], np.zeros(int(off.sum())))
 
     def test_rho_schedule_is_exact_geometric(self):
-        spec = SyntheticSpec(m=10, n=8, f_r=0.2, f_m=0.2, seed=1)
+        # 40 observed entries lie below OVERSAMPLING * r(m+n-r) at every rank
+        # r >= 1 of a 10x8 matrix, so rho keeps the paper's fixed growth.
+        spec = SyntheticSpec(m=10, n=8, f_r=0.2, f_m=0.5, seed=1)
         _, X_obs = gen_synthetic(spec)
+        assert X_obs.n_observed < OVERSAMPLING * 1 * (10 + 8 - 1)
         cfg = SolverConfig(penalty=soft_threshold(1.0), max_iters=30, xi=1e-30)
         _, trace = solve(X_obs, cfg)
+        assert trace.iters == 30 and min(trace.kept_rank) > 0
         expected = _start_rho(X_obs, cfg)
         for rho_k in trace.rho:
             assert rho_k == expected
             expected *= cfg.mu
+
+    def test_rho_grows_by_rho_growth_each_iteration(self):
+        _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
+        cfg = bench.config_for_method("how")
+        _, trace = solve(X_obs, cfg)
+        growths = []
+        for k in range(trace.iters - 1):
+            prefix = IterTrace(rel_e=trace.rel_e[:k + 1], kept_rank=trace.kept_rank[:k + 1])
+            growths.append(rho_growth(cfg.mu, prefix, X_obs.n_observed, X_obs.shape))
+            assert trace.rho[k + 1] == growths[-1] * trace.rho[k]
+        assert set(growths) == {cfg.mu, MU_SETTLED}
 
     def test_nnm_first_iteration_is_svt(self):
         rng = np.random.Generator(np.random.Philox(8))
@@ -429,22 +499,25 @@ class TestConvergenceDiagnostics:
 def _reference_solve(X, config):
     """The dense three-block ADMM over (M, E, Lambda) that the solver's loop
     replaces: E is filled explicitly as Lambda/rho - M off the observed set
-    and the residual X - M - E is formed from all three blocks."""
+    and the residual X - M - E is formed from all three blocks. rho grows by
+    rho_growth of the reference's own rel_E and kept ranks."""
     norm_x = float(np.linalg.norm(X.values))
     M = np.zeros(X.shape)
     E = np.zeros(X.shape)
     Lam = np.zeros(X.shape)
     rho = _start_rho(X, config)
-    rel_e = []
+    trace = IterTrace()
     while True:
-        M = shrink_singular_values(X.values - E + Lam / rho, config.penalty, scale=1.0 / rho).M
+        shrunk = shrink_singular_values(X.values - E + Lam / rho, config.penalty, scale=1.0 / rho)
+        M = shrunk.M
         E = np.where(X.mask, 0.0, Lam / rho - M)
         residual = X.values - M - E
-        rel_e.append(float(np.linalg.norm(residual)) / norm_x)
+        trace.rel_e.append(float(np.linalg.norm(residual)) / norm_x)
+        trace.kept_rank.append(shrunk.rank)
         Lam = Lam + rho * residual
-        rho = config.mu * rho
-        if rel_e[-1] <= config.xi or len(rel_e) >= config.max_iters:
-            return M, rel_e
+        rho = rho_growth(config.mu, trace, X.n_observed, X.shape) * rho
+        if trace.rel_e[-1] <= config.xi or trace.iters >= config.max_iters:
+            return M, trace.rel_e
 
 
 @pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
@@ -454,6 +527,7 @@ def test_solve_matches_dense_reference(method):
     M_ref, rel_e_ref = _reference_solve(X_obs, cfg)
     M, trace = solve(X_obs, cfg)
     assert len(rel_e_ref) < cfg.max_iters  # the reference converged
+    assert any(b == MU_SETTLED * a for a, b in zip(trace.rho, trace.rho[1:]))  # it sped up
     assert trace.iters == len(rel_e_ref)
     assert np.array_equal(M, M_ref)
     np.testing.assert_allclose(trace.rel_e, rel_e_ref, rtol=1e-15, atol=0.0)
