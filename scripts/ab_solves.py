@@ -16,7 +16,8 @@ counts, route sequences or kept-rank sequences differ, and max|M - M_A| /
 max|M_A|. The ulp control's figures are the roundoff floor of the solves: a
 last-bit change moves M that far, and can flip a shrink whose certificate
 sits at its bound. For A and for B it then prints each side's summed
-iterations, its worst relative RMSE ||M - X||_F / ||X||_F against the
+iterations, its shrinks by route (truncated, gram_block, gram, dense), its
+worst relative RMSE ||M - X||_F / ||X||_F against the
 truth, and the number of solves at a relative RMSE of at least
 FAILED_RMSE = 1e-3 (bench's success bound, made scale-free for the scaled
 protocol solves). The last line of standard output is the whole record as
@@ -133,12 +134,18 @@ def compare(todo, first, side):
     return out
 
 
+ROUTES = ("truncated", "gram_block", "gram", "dense")
+
+
 def quality(todo, first, side):
-    """One side's first solves against the truth: summed iterations, the worst
-    relative RMSE and the number of solves at FAILED_RMSE or above."""
+    """One side's first solves against the truth: summed iterations, the
+    shrinks taken by each route, the worst relative RMSE and the number of
+    solves at FAILED_RMSE or above."""
     rel = [float(np.linalg.norm(first[side, k][0] - case[1]) / np.linalg.norm(case[1]))
            for k, case in enumerate(todo)]
+    routes = [r for k in range(len(todo)) for r in first[side, k][1].route]
     return {"iters": sum(first[side, k][1].iters for k in range(len(todo))),
+            "routes": {route: routes.count(route) for route in ROUTES},
             "worst_rel_rmse": max(rel), "failed": sum(r >= FAILED_RMSE for r in rel)}
 
 
@@ -206,6 +213,8 @@ def main(argv=None):
     for line in parity["B"]["iters_changed"]:
         print(f"  iterations changed: {line}")
     for side, got in scores.items():
+        print(f"routes of {side}: "
+              + ", ".join(f"{n} {route}" for route, n in got["routes"].items()))
         print(f"quality of {side}: {got['iters']} iterations; worst relative RMSE "
               f"{got['worst_rel_rmse']:.3g}; {got['failed']} of {len(todo)} solves at "
               f"relative RMSE >= {FAILED_RMSE:g}")

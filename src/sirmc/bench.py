@@ -208,10 +208,11 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     to remove instance-to-instance variance from the comparison. Seeds derive
     from (cell row, cell column, trial), so parallel execution order cannot
     change any number. Every cell's spec is checked before the first solve;
-    per-trial solver errors are recorded as failures, not raised. The tasks
-    run on pool_workers(threads, tasks) workers, under blas.per_solve's share
-    of the CPUs, or in turn on one, where each solve sets its own count. The
-    BLAS count can change an RMSE's last bits.
+    per-trial solver errors are recorded as failures, not raised. The tasks,
+    their draws and RMSEs included, run under blas.per_solve's share of the
+    CPUs, on pool_workers(threads, tasks) workers or in turn on one. The
+    BLAS count can change an RMSE's last bits, so below blas.SERIAL_ENTRIES
+    (one thread each way) any `threads` gives the same numbers.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -232,13 +233,14 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         return _run_methods(X_full, X_obs, methods, configs)
 
     workers = pool_workers(threads, len(specs))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # ~10 ms; only pools pay it
+    with blas.limit(blas.per_solve(m * n, workers)):
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # ~10 ms; only pools pay it
 
-        with blas.limit(blas.per_solve(m * n, workers)), ThreadPoolExecutor(workers) as pool:
-            results = dict(zip(specs, pool.map(run_task, specs.values())))
-    else:
-        results = {key: run_task(spec) for key, spec in specs.items()}
+            with ThreadPoolExecutor(workers) as pool:
+                results = dict(zip(specs, pool.map(run_task, specs.values())))
+        else:
+            results = {key: run_task(spec) for key, spec in specs.items()}
 
     return SweepGrid(f_r_values, f_m_values, methods, trials, results)
 

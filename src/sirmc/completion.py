@@ -127,9 +127,10 @@ class IterTrace:
     the observed-set residual that the implicit E leaves (feas is its
     numerator). kept_rank is the number of singular values above the
     threshold 1/rho, and route the SvdTriplet route each shrink took
-    ("truncated", "gram" or "dense"); the CSV writes it as two 0/1 columns,
-    dense_svd and gram_svd, so the file stays all-numeric. norm_x, feas,
-    delta_m and rho are in data units (see solve); rel_e is scale-free.
+    ("truncated", "gram_block", "gram" or "dense"); the CSV writes it as
+    three 0/1 columns, dense_svd, gram_svd and gram_block_svd, so the file
+    stays all-numeric. norm_x, feas, delta_m and rho are in data units (see
+    solve); rel_e is scale-free.
     """
 
     rel_e: list = field(default_factory=list)
@@ -150,13 +151,14 @@ class IterTrace:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd,gram_svd\n")
+            f.write("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd,gram_svd,"
+                    "gram_block_svd\n")
             for k in range(len(self.rel_e)):
                 f.write(
                     f"{k + 1},{self.rel_e[k]!r},{self.delta_m[k]!r},"
                     f"{self.feas[k]!r},{self.rho[k]!r},{self.wall_time[k]!r},"
                     f"{self.kept_rank[k]},{int(self.route[k] == 'dense')},"
-                    f"{int(self.route[k] == 'gram')}\n"
+                    f"{int(self.route[k] == 'gram')},{int(self.route[k] == 'gram_block')}\n"
                 )
 
 
@@ -165,10 +167,10 @@ def update_m(prev: Shrinkage, x: np.ndarray, Lambda: np.ndarray, rho: float,
     """Estimate update: singular-value shrinkage at threshold 1/rho of D = X - E +
     Lambda/rho, which with the implicit E is x + Lambda/rho on the observed set (flat
     index omega, x the observed values and Lambda the multiplier in its order) and
-    M = prev.M off it, warm-started from prev.V."""
+    M = prev.M off it, warm-started from prev.V and gated by prev.gapped."""
     D = prev.M.copy()
     D.reshape(-1)[omega] = x + Lambda / rho  # a view: np.put costs 3x
-    return shrink_singular_values(D, penalty, start=prev.V, scale=1.0 / rho)
+    return shrink_singular_values(D, penalty, start=prev.V, scale=1.0 / rho, gapped=prev.gapped)
 
 
 def update_e(M_new: np.ndarray, x: np.ndarray, omega: np.ndarray) -> np.ndarray:

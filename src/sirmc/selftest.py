@@ -151,7 +151,8 @@ def planted(rng, values, m: int = 200, n: int = 120):
 
 # Planted spectra at threshold 1 and the warm-start width each starts from;
 # "saturated" has more values above 1 than its block has columns, and
-# "wide_warm" starts wider than the truncated block allows (both: the Gram route).
+# "wide_warm" starts wider than the truncated block allows (both: the Gram
+# route, whose block certifies the second and refuses the first).
 TRUNCATION_CASES = {
     "separated": (list(np.linspace(8.0, 1.5, 12)) + [0.1] * 50, 4),
     "saturated": (list(np.linspace(5.0, 2.0, 15)) + list(np.linspace(0.1, 0.01, 80)), 2),
@@ -164,17 +165,18 @@ TRUNCATION_CASES = {
 
 def suite_truncated_shrink(seed: int = 0) -> SuiteResult:
     """The warm-started shrink, which truncates the SVD or takes the Gram
-    route when one certifies, against the dense one on planted 200x120
-    spectra: the same number of kept values and outputs within 1e-10 * sigma_1."""
+    route (its block first, as after a gapped shrink) when one certifies,
+    against the dense one on planted 200x120 spectra: the same number of
+    kept values and outputs within 1e-10 * sigma_1."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     worst = 0.0
-    routes = dict.fromkeys(("truncated", "gram", "dense"), 0)
+    routes = dict.fromkeys(("truncated", "gram_block", "gram", "dense"), 0)
     details = []
     for name, (values, width) in TRUNCATION_CASES.items():
         D, V = planted(rng, values)
         s = SvdTriplet.of(D).S
         for p in default_penalties():
-            out = shrink_singular_values(D, p, start=V[:, :width])
+            out = shrink_singular_values(D, p, start=V[:, :width], gapped=True)
             err = float(np.max(np.abs(out.M - shrink_singular_values(D, p).M))) / s[0]
             worst = max(worst, err)
             routes[out.route] += 1

@@ -11,8 +11,12 @@ the dense SVD. Given one (the right singular vectors the previous shrink
 kept, k columns) it chooses its route once, in `SvdTriplet.of`, in this
 order: a certified randomized subspace iteration (Halko, Martinsson &
 Tropp 2011) on one block of k + OVERSAMPLE columns, while that is at most
-min(m, n) // BLOCK_DIVISOR; a certified eigendecomposition of D^T D or
-D D^T, while that bound is at least OVERSAMPLE; the dense SVD last.
+min(m, n) // BLOCK_DIVISOR; the Gram route on G = D^T D or D D^T, while
+that bound is at least OVERSAMPLE; the dense SVD last. The Gram route
+first runs block Rayleigh-Ritz steps on G from the warm start (Saad 2011),
+when the previous shrink saw a gap below its kept values, and proves the
+count of values above lam with one Cholesky factorization; else it takes
+the full eigendecomposition of G.
 """
 
 from __future__ import annotations
@@ -35,25 +39,32 @@ DROP_MARGIN = 10         # largest dropped Ritz value: below lam by this times i
 RESIDUAL_TOL = 1e-10     # certified: triplet residuals <= this times s_1
 FILL_SEED = 20230417     # Philox key of the start block's fill columns and norm_estimate's start
 NORM_POWER_STEPS = 4     # power steps of norm_estimate
+GAP = 1e-2               # gapped: (sigma_{k+1} / sigma_k)^2 <= GAP below the k kept values
+GRAM_STEPS = 4           # Rayleigh-Ritz steps of the Gram block before eigh runs
 
 
 @dataclass(frozen=True)
 class SvdTriplet:
     """Thin SVD D = U @ diag(S) @ V.T with S sorted nonincreasing, or, when
-    `route` is "truncated" or "gram", only the triplets with S above a threshold."""
+    `route` is not "dense", only the triplets with S above a threshold.
+    `gapped` says that this SVD saw (S_{k+1} / S_k)^2 <= GAP below its k
+    values above the threshold (see _gapped)."""
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
     route: str = "dense"
+    gapped: bool = False
 
     @classmethod
     def of(cls, D: np.ndarray, above: float | None = None,
-           start: np.ndarray | None = None) -> "SvdTriplet":
+           start: np.ndarray | None = None, gapped: bool = False) -> "SvdTriplet":
         """Dense thin SVD of D; with a threshold `above` and a warm start (n x k,
         orthonormal columns), the first route that applies and certifies:
         the truncated SVD when k + OVERSAMPLE <= min(m, n) // BLOCK_DIVISOR,
-        the Gram route when that bound is at least OVERSAMPLE, else LAPACK."""
+        the Gram route when that bound is at least OVERSAMPLE (trying its
+        block from `start` first when the previous shrink was `gapped`),
+        else LAPACK."""
         try:
             if start is not None:
                 limit = min(D.shape) // BLOCK_DIVISOR
@@ -62,13 +73,21 @@ class SvdTriplet:
                     if found is not None:
                         return cls(*found, route="truncated")
                 if limit >= OVERSAMPLE:
-                    found = _gram_svd(D, above)
+                    found = _gram_svd(D, above, start if gapped else None)
                     if found is not None:
-                        return cls(*found, route="gram")
+                        return cls(*found)
             U, s, Vh = np.linalg.svd(D, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SvdFailure(f"SVD did not converge: {exc}") from exc
-        return cls(U, s, Vh.T)
+        return cls(U, s, Vh.T, gapped=above is not None
+                   and _gapped(s * s, int(np.count_nonzero(s > above))))
+
+
+def _gapped(w: np.ndarray, k: int) -> bool:
+    """Whether the nonincreasing squared spectrum w (all of it) has k > 0 values
+    kept and w[k] <= GAP * w[k - 1]: the next shrink's Gram block from these k
+    vectors then gains about a factor GAP per step."""
+    return bool(0 < k and (k == w.size or w[k] <= GAP * w[k - 1]))
 
 
 def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
@@ -128,24 +147,89 @@ def _truncated_svd(D: np.ndarray, lam: float, start: np.ndarray):
     return None
 
 
-def _gram_svd(D: np.ndarray, lam: float):
-    """(U, S, V) holding exactly the singular triplets of D with S > lam, or
-    None: the eigenvalues w > lam^2 of D^T D (D D^T when m < n) give S =
-    sqrt(w), V their eigenvectors and U = D V / S. Squaring costs accuracy,
-    about n * eps * s_1^2 in w (Golub & Van Loan, ch. 8), so the route gives
-    up when a w lies that close to lam^2, and unless every kept triplet has
-    ||D^T u - v s|| <= RESIDUAL_TOL * s_1 (which blurred small values fail).
+def _gram_svd(D: np.ndarray, lam: float, start: np.ndarray | None = None):
+    """(U, S, V, route, gapped) holding exactly the singular triplets of D
+    with S > lam, or None. With A = D (D^T when m < n) and G = A^T A, the
+    eigenvalues w > lam^2 of G give S = sqrt(w), V their eigenvectors and
+    U = A V / S (then swapped back when A = D^T).
+
+    Given a warm start (for A = D^T, the orthonormalized D @ start), the
+    route first tries _gram_block ("gram_block", gapped left set). When
+    that gives up, it takes eigh of the same G ("gram", gapped from its
+    spectrum). Squaring costs accuracy, about n * eps * s_1^2 in w (Golub &
+    Van Loan, ch. 8), so eigh gives up when a w lies that close to lam^2,
+    and unless every kept triplet has ||A^T u - v s|| <= RESIDUAL_TOL * s_1
+    (which blurred small values fail).
     """
     A = D if D.shape[0] >= D.shape[1] else D.T
-    w, V = np.linalg.eigh(A.T @ A)  # ascending
-    if np.any(np.abs(w - lam * lam) <= A.shape[1] * np.finfo(float).eps * w[-1]):
-        return None
-    keep = np.flatnonzero(w > lam * lam)[::-1]
-    s, V = np.sqrt(w[keep]), V[:, keep]
+    G = A.T @ A
+    found = None
+    if start is not None and start.shape[1]:
+        found = _gram_block(A, G, lam, start if A is D else np.linalg.qr(D @ start)[0])
+    if found is not None:
+        (U, s, V), route, gapped = found, "gram_block", True
+    else:
+        w, V = np.linalg.eigh(G)  # ascending
+        if np.any(np.abs(w - lam * lam) <= A.shape[1] * np.finfo(float).eps * w[-1]):
+            return None
+        keep = np.flatnonzero(w > lam * lam)[::-1]
+        s, V = np.sqrt(w[keep]), V[:, keep]
+        U = _gram_left(A, s, V, RESIDUAL_TOL * np.sqrt(w[-1]))
+        if U is None:
+            return None
+        route, gapped = "gram", _gapped(w[::-1], keep.size)
+    return (U, s, V, route, gapped) if A is D else (V, s, U, route, gapped)
+
+
+def _gram_block(A: np.ndarray, G: np.ndarray, lam: float, B: np.ndarray):
+    """(U, S, V) holding exactly the singular triplets of A with S > lam, or
+    None: block subspace iteration with Rayleigh-Ritz on G = A^T A from the
+    orthonormal block B, for at most GRAM_STEPS steps. A step's Ritz values
+    theta > lam^2 are kept once
+
+    (a) every kept triplet has ||A^T u - v s|| <= RESIDUAL_TOL * s_1, with
+        s = sqrt(theta), u = A v / s (else the next step runs);
+    (b) no theta lies within n * eps * theta_1 of lam^2 (else None);
+    (c) (lam^2 - n * eps * theta_1) I - (G - V_k diag(theta_k) V_k^T) has a
+        Cholesky factorization (else None).
+
+    By Cauchy interlacing the k kept theta lie below the top k eigenvalues of
+    G, and by Weyl's inequality its (k+1)-th lies below the largest of
+    G - V_k diag(theta_k) V_k^T, so (c) proves that exactly k singular
+    values of A exceed lam. The block gains about (s_{k+1} / s_k)^2 per
+    step: a narrow block is worth a step only below a gap.
+    """
+    n, lam2 = G.shape[0], lam * lam
+    GB = G @ B
+    for _ in range(GRAM_STEPS):
+        Q, _ = np.linalg.qr(GB)
+        GQ = G @ Q
+        theta, W = np.linalg.eigh(Q.T @ GQ)  # ascending
+        B, GB = Q @ W, GQ @ W  # the Ritz vectors and the next step's product
+        band = n * np.finfo(float).eps * theta[-1]
+        if np.any(np.abs(theta - lam2) <= band):
+            return None
+        keep = np.flatnonzero(theta > lam2)[::-1]
+        s, V = np.sqrt(theta[keep]), B[:, keep]
+        U = _gram_left(A, s, V, RESIDUAL_TOL * np.sqrt(theta[-1]))
+        if U is None:
+            continue
+        C = (V * theta[keep]) @ V.T - G
+        C.flat[::n + 1] += lam2 - band
+        try:
+            np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            return None
+        return U, s, V
+    return None
+
+
+def _gram_left(A: np.ndarray, s: np.ndarray, V: np.ndarray, tol: float):
+    """U = A V / s, or None unless every triplet has ||A^T u - v s|| <= tol."""
     U = (A @ V) / s
-    if np.any(np.linalg.norm(A.T @ U - V * s, axis=0) > RESIDUAL_TOL * np.sqrt(w[-1])):
+    if np.any(np.linalg.norm(A.T @ U - V * s, axis=0) > tol):
         return None
-    return (U, s, V) if A is D else (V, s, U)
+    return U
 
 
 @functools.lru_cache(maxsize=8)
@@ -172,12 +256,14 @@ def norm_estimate(A: np.ndarray) -> float:
 class Shrinkage:
     """A shrink M = U @ diag(S) @ V.T: S holds the nonzero shrunk singular
     values and V their right singular vectors (the next shrink's warm
-    start); `route` is the SvdTriplet's."""
+    start); `route` and `gapped` are the SvdTriplet's (the next shrink's
+    gate for the Gram block)."""
 
     M: np.ndarray
     S: np.ndarray
     V: np.ndarray
     route: str
+    gapped: bool = False
 
     @property
     def rank(self) -> int:
@@ -185,7 +271,8 @@ class Shrinkage:
 
 
 def shrink_singular_values(D: np.ndarray, penalty: Penalty,
-                           start: np.ndarray | None = None, scale: float = 1.0) -> Shrinkage:
+                           start: np.ndarray | None = None, scale: float = 1.0,
+                           gapped: bool = False) -> Shrinkage:
     """The Shrinkage M = U @ diag(P(sigma_i)) @ V.T of D, where P(x) =
     scale * prox(x / scale) is the penalty's prox scaled to threshold
     lam = scale * penalty.lam.
@@ -193,7 +280,8 @@ def shrink_singular_values(D: np.ndarray, penalty: Penalty,
     Any input with spectral norm <= lam maps to the zero matrix. Without
     `start` this is the dense SVD. With `start`, the right singular vectors
     of the previous shrink's kept values (n x 0 at first), only the values
-    above lam are computed when a route certifies (see `SvdTriplet.of`).
+    above lam are computed when a route certifies (see `SvdTriplet.of`);
+    `gapped` is the previous shrink's.
     A non-finite D is a NonFiniteInput. Non-finite factors (at a tiny
     scale the shrunk values overflow) are a NonFiniteIterate, raised before
     M is formed; finite ones make M finite (|M_ij| <= max S).
@@ -203,10 +291,10 @@ def shrink_singular_values(D: np.ndarray, penalty: Penalty,
         raise ValueError(f"expected a 2-d matrix, got shape {D.shape}")
     if not np.isfinite(D).all():
         raise NonFiniteInput("matrix contains NaN or inf")
-    svd = SvdTriplet.of(D, above=scale * penalty.lam, start=start)
+    svd = SvdTriplet.of(D, above=scale * penalty.lam, start=start, gapped=gapped)
     with np.errstate(all="ignore"):  # an overflow or nan fails the check below, typed
         s = scale * prox_eval(penalty, svd.S / scale)
     if not (np.isfinite(s).all() and np.isfinite(svd.U).all() and np.isfinite(svd.V).all()):
         raise NonFiniteIterate(f"shrunk factors not finite at scale {scale!r}")
     keep = s != 0.0
-    return Shrinkage((svd.U * s) @ svd.V.T, s[keep], svd.V[:, keep], svd.route)
+    return Shrinkage((svd.U * s) @ svd.V.T, s[keep], svd.V[:, keep], svd.route, svd.gapped)

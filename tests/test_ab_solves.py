@@ -2,11 +2,15 @@
 non-zero exit when the other tree changes an iteration count or fails more
 solves against the truth."""
 
+import importlib.util
 import json
 import pathlib
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import numpy as np
 
 import pytest
 
@@ -42,6 +46,10 @@ def test_a_tree_is_at_parity_with_itself():
     assert 0.0 < record["parity_ulp_control"]["max_rel_dM"] < 1e-10
     assert record["quality_a"] == record["quality_b"]
     assert record["quality_b"]["iters"] == 40 + 52
+    # 60x40 is too small for either fast route: every shrink runs the dense SVD.
+    assert record["quality_b"]["routes"] == {"truncated": 0, "gram_block": 0, "gram": 0,
+                                             "dense": 92}
+    assert "routes of B: 0 truncated, 0 gram_block, 0 gram, 92 dense" in proc.stdout
     assert 0.0 < record["quality_b"]["worst_rel_rmse"] < 1e-6
     assert record["quality_b"]["failed"] == 0
     assert "quality of B: 92 iterations" in proc.stdout
@@ -68,3 +76,16 @@ def test_more_failed_solves_exit_one(tmp_path):
     assert record["quality_b"]["iters"] == record["quality_a"]["iters"]
     assert record["quality_b"]["worst_rel_rmse"] == pytest.approx(0.01, rel=1e-3)
     assert "2 of 2 solves at relative RMSE >= 0.001" in proc.stdout
+
+
+def test_shrinks_are_counted_by_route():
+    spec = importlib.util.spec_from_file_location("ab_solves", SCRIPT)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    truth = np.ones((2, 2))
+    todo = [("first", truth), ("second", truth)]
+    first = {("B", 0): (truth, SimpleNamespace(iters=3, route=["truncated", "gram", "gram_block"])),
+             ("B", 1): (truth, SimpleNamespace(iters=2, route=["gram_block", "dense"]))}
+    got = ab.quality(todo, first, "B")
+    assert got["routes"] == {"truncated": 1, "gram_block": 2, "gram": 1, "dense": 1}
+    assert got["iters"] == 5 and got["failed"] == 0

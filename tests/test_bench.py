@@ -107,6 +107,20 @@ class TestPhaseSweep:
         assert np.array_equal(a.success_rate, b.success_rate)
         assert np.array_equal(a.mean_log10_rmse, b.mean_log10_rmse)
 
+    def test_deterministic_where_the_gram_block_runs(self):
+        # At 150x100 and (0.2, 0.2) the shrinks take the Gram block, gated by
+        # each solve's previous shrink: one pool thread or two, the same bits.
+        kwargs = dict(trials=2, m=150, n=100, seed=11)
+        a = phase_sweep((0.2,), (0.2,), ("how",), **kwargs)
+        b = phase_sweep((0.2,), (0.2,), ("how",), threads=2, **kwargs)
+        for t in range(2):
+            (ra,), (rb,) = a.reports[(0, 0, t)], b.reports[(0, 0, t)]
+            assert ra.failure is None and (ra.rmse, ra.iters) == (rb.rmse, rb.iters)
+            _, X_obs = gen_synthetic(SyntheticSpec(150, 100, 0.2, 0.2,
+                                                   bench._trial_seed(11, 0, 0, t)))
+            _, trace = bench.solve(X_obs, bench.config_for_method("how"))
+            assert trace.iters == ra.iters and "gram_block" in trace.route
+
     def test_solver_error_recorded_as_failure(self, monkeypatch, tmp_path, capsys):
         real_solve = bench.solve
 

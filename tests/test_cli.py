@@ -39,13 +39,13 @@ class TestComplete:
         assert np.linalg.norm(M - X) / np.linalg.norm(X) <= 1e-6
         trace_lines = (tmp_path / "out.csv.trace.csv").read_text().splitlines()
         assert trace_lines[0] == ("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd,"
-                                  "gram_svd")
+                                  "gram_svd,gram_block_svd")
         assert len(trace_lines) > 1
         rows = np.loadtxt(tmp_path / "out.csv.trace.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows[-1, 6] == 8  # the full-rank data keeps every value at the end
         # 10x8 is too small to truncate, and too narrow for the Gram route:
         # every shrink runs the dense SVD.
-        assert np.all(rows[:, 7] == 1.0) and np.all(rows[:, 8] == 0.0)
+        assert np.all(rows[:, 7] == 1.0) and np.all(rows[:, 8:] == 0.0)
 
     def test_demo_fixture_recovers_ground_truth(self, tmp_path, capsys):
         out = tmp_path / "m.csv"

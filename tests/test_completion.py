@@ -588,8 +588,8 @@ def test_truncated_shrink_matches_dense_svd_every_iteration(method, monkeypatch)
     of = spectral.SvdTriplet.__dict__["of"].__func__
     truncated = []
 
-    def spy(cls, D, above=None, start=None):
-        svd = of(cls, D, above, start)
+    def spy(cls, D, above=None, start=None, gapped=False):
+        svd = of(cls, D, above, start, gapped)
         s = of(cls, D).S
         kept = svd.S[svd.S > above]
         assert kept.size == np.count_nonzero(s > above)
@@ -614,7 +614,7 @@ def test_truncated_solve_matches_dense_solve(cell, methods, monkeypatch):
     truth, X_obs = _protocol_instance(*cell)
     fast = {m: solve(X_obs, bench.config_for_method(m)) for m in methods}
     monkeypatch.setattr(spectral, "_truncated_svd", lambda D, lam, start: None)
-    monkeypatch.setattr(spectral, "_gram_svd", lambda D, lam: None)
+    monkeypatch.setattr(spectral, "_gram_svd", lambda D, lam, start: None)
     for m in methods:
         M_dense, trace_dense = solve(X_obs, bench.config_for_method(m))
         M_fast, trace_fast = fast[m]
@@ -633,14 +633,32 @@ def test_trace_records_each_shrinks_route(monkeypatch):
     of = spectral.SvdTriplet.__dict__["of"].__func__
     routes = []
 
-    def spy(cls, D, above=None, start=None):
-        routes.append(of(cls, D, above, start))
+    def spy(cls, D, above=None, start=None, gapped=False):
+        routes.append(of(cls, D, above, start, gapped))
         return routes[-1]
 
     monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
     _, trace = solve(X_obs, bench.config_for_method("how", mu=1.10))
     assert trace.route == [svd.route for svd in routes]
     assert "gram" in trace.route and "dense" not in trace.route
+
+
+def test_gram_block_runs_only_after_a_gapped_shrink(monkeypatch):
+    # The gate travels in each solve's Shrinkage: update_m hands the last
+    # shrink's flag to the next, and only a gapped shrink lets the block run.
+    shrinks = []
+
+    def spy(*args):
+        shrinks.append(update_m(*args))
+        return shrinks[-1]
+
+    monkeypatch.setattr(completion, "update_m", spy)
+    _, X_obs = gen_synthetic(SyntheticSpec(m=150, n=100, f_r=0.2, f_m=0.2, seed=1))
+    _, trace = solve(X_obs, bench.config_for_method("how"))
+    assert trace.route == [s.route for s in shrinks] and "gram_block" in trace.route
+    for prev, shrunk in zip(shrinks, shrinks[1:]):
+        if shrunk.route == "gram_block":
+            assert prev.gapped and shrunk.gapped
 
 
 def test_trace_norm_m_is_read_from_the_shrunk_values(monkeypatch):

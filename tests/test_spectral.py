@@ -249,8 +249,8 @@ def test_trace_route_counts_match_the_shrinks(monkeypatch):
     of = SvdTriplet.__dict__["of"].__func__
     routes = Counter()
 
-    def spy(cls, D, above=None, start=None):
-        svd = of(cls, D, above, start)
+    def spy(cls, D, above=None, start=None, gapped=False):
+        svd = of(cls, D, above, start, gapped)
         routes[svd.route] += 1
         return svd
 
@@ -265,18 +265,26 @@ def test_trace_route_counts_match_the_shrinks(monkeypatch):
 NEAR_LAM = list(np.linspace(6.0, 1.5, 30)) + [1 + 1e-8, 1 - 1e-8] + list(np.linspace(0.9, 0.1, 40))
 
 
-@pytest.mark.parametrize("wide", [False, True])
-def test_gram_route_matches_lapack_svd(rng, wide):
-    D, _ = planted(rng, NEAR_LAM)
-    D = D.T if wide else D
+def _matches_lapack(D, U, S, V):
+    """(U, S, V) holds exactly the triplets of D with S above lam = 1, within
+    1e-10 * sigma_1 of np.linalg.svd's values, with residuals that small
+    both ways."""
     s = np.linalg.svd(D, compute_uv=False)
-    U, S, V = spectral._gram_svd(D, 1.0)
-    assert U.shape == (D.shape[0], 31) and V.shape == (D.shape[1], 31)
+    assert U.shape == (D.shape[0], S.size) and V.shape == (D.shape[1], S.size)
     assert S.size == np.count_nonzero(s > 1.0)
     assert np.all(np.diff(S) <= 0.0)
     assert np.max(np.abs(S - s[:S.size])) <= 1e-10 * s[0]
     assert np.max(np.abs(D @ V - U * S)) <= 1e-10 * s[0]
     assert np.max(np.abs(D.T @ U - V * S)) <= 1e-10 * s[0]
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_gram_route_matches_lapack_svd(rng, wide):
+    D, _ = planted(rng, NEAR_LAM)
+    D = D.T if wide else D
+    U, S, V, route, _ = spectral._gram_svd(D, 1.0)
+    assert route == "gram" and S.size == 31
+    _matches_lapack(D, U, S, V)
 
 
 @pytest.mark.parametrize("near", [1.0, 1 + 1e-15, 1 - 1e-15])
@@ -304,6 +312,104 @@ def test_gram_route_certifies_every_kept_triplet(rng, monkeypatch):
     assert spectral._gram_svd(D, 1.0) is not None
     monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-18)
     assert spectral._gram_svd(D, 1.0) is None
+
+
+# The Gram block: 30 values above lam = 1 with a gap below them, (0.1 / 1.5)^2
+# <= GAP, seen from a warm start one perturbation away from their vectors.
+GAPPED = list(np.linspace(6.0, 1.5, 30)) + list(np.linspace(0.1, 0.01, 40))
+FLAT = list(np.linspace(6.0, 1.5, 30)) + list(np.linspace(0.9, 0.1, 40))
+
+
+def _warm(rng, D, k, noise=1e-3):
+    """D's top k right singular vectors, perturbed by `noise` and orthonormalized."""
+    V = np.linalg.svd(D)[2][:k].T
+    return np.linalg.qr(V + noise * rng.standard_normal(V.shape))[0]
+
+
+def _cholesky_calls(monkeypatch):
+    """Count np.linalg.cholesky calls, the raising ones too."""
+    calls, real = [], np.linalg.cholesky
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_gram_block_matches_lapack_svd(rng, monkeypatch, wide):
+    D, _ = planted(rng, GAPPED)
+    D = D.T if wide else D
+    eigh = _spy(monkeypatch, np.linalg, "eigh")
+    U, S, V, route, gapped = spectral._gram_svd(D, 1.0, _warm(rng, D, 30))
+    assert route == "gram_block" and gapped and S.size == 30
+    assert all(w.size == 30 for w, _ in eigh)  # only Rayleigh-Ritz, no full eigh
+    _matches_lapack(D, U, S, V)
+
+
+@pytest.mark.parametrize("values, cols", [
+    ([6.0, 5.0, 4.0, 3.0, 2.0] + [0.05] * 40, [0, 1, 3, 4]),  # 4.0 outside the block
+    ([6.0, 5.0, 4.0, 3.0, 1.05] + [0.05] * 40, [0, 1, 2, 3]),  # the rank grows by one
+])
+def test_gram_block_refuses_a_value_outside_it(rng, monkeypatch, values, cols):
+    # The start holds exact singular vectors, so every kept triplet passes
+    # (a) at once; only the Cholesky certificate (c) sees the fifth value
+    # above lam, and the full eigh of the same G finds it.
+    D, V = planted(rng, values)
+    cholesky = _cholesky_calls(monkeypatch)
+    assert spectral._gram_block(D, D.T @ D, 1.0, V[:, cols]) is None
+    assert cholesky == [(120, 120)]
+    eigh = _spy(monkeypatch, np.linalg, "eigh")
+    U, S, V, route, _ = spectral._gram_svd(D, 1.0, V[:, cols])
+    assert route == "gram" and eigh[-1][0].size == 120
+    _matches_lapack(D, U, S, V)
+
+
+@pytest.mark.parametrize("near", [1.0, 1 + 1e-15, 1 - 1e-15])
+def test_gram_block_gives_up_near_lam(rng, monkeypatch, near):
+    # A Ritz value within n * eps * theta_1 of lam^2: (b) refuses it before
+    # any certificate, and so does eigh, so the shrink runs the dense SVD.
+    D, V = planted(rng, [6.0, 3.0, near] + [0.05] * 30)
+    cholesky = _cholesky_calls(monkeypatch)
+    assert spectral._gram_block(D, D.T @ D, 1.0, V[:, :3]) is None
+    assert spectral._gram_svd(D, 1.0, V[:, :3]) is None
+    assert cholesky == []
+    out = shrink_singular_values(D, how(1.0), start=V[:, :3], gapped=True)
+    assert out.route == "dense"
+
+
+def test_gram_block_certifies_every_kept_triplet(rng, monkeypatch):
+    # At RESIDUAL_TOL = 1e-18 (a) fails at every step: the block gives up
+    # after GRAM_STEPS steps and never reaches its certificate.
+    D, _ = planted(rng, GAPPED)
+    start = _warm(rng, D, 30)
+    assert spectral._gram_block(D, D.T @ D, 1.0, start) is not None
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-18)
+    qr, cholesky = _spy(monkeypatch, np.linalg, "qr"), _cholesky_calls(monkeypatch)
+    assert spectral._gram_block(D, D.T @ D, 1.0, start) is None
+    assert len(qr) == spectral.GRAM_STEPS and cholesky == []
+
+
+def test_gap_gate_follows_the_exact_spectrum(rng):
+    # The dense SVD and eigh set the gate from the whole spectrum, the block
+    # that certifies leaves it set, the truncated route clears it; the route
+    # tries the block only when the previous shrink was gapped.
+    gapped, V = planted(rng, GAPPED)
+    flat, W = planted(rng, FLAT)
+    assert SvdTriplet.of(gapped, above=1.0).gapped
+    assert not SvdTriplet.of(flat, above=1.0).gapped
+    assert not SvdTriplet.of(gapped).gapped  # no threshold, nothing kept
+    for D, start, gap in ((gapped, V[:, :30], True), (flat, W[:, :30], False)):
+        cold = SvdTriplet.of(D, above=1.0, start=start)
+        assert (cold.route, cold.gapped) == ("gram", gap)
+        warm = SvdTriplet.of(D, above=1.0, start=start, gapped=True)
+        assert (warm.route, warm.gapped) == ("gram_block", True)
+    values, width = TRUNCATION_CASES["separated"]
+    D, V = planted(rng, values)
+    out = SvdTriplet.of(D, above=1.0, start=V[:, :width], gapped=True)
+    assert (out.route, out.gapped) == ("truncated", False)
 
 
 def test_norm_estimate_is_a_homogeneous_lower_bound(rng):
