@@ -1,6 +1,7 @@
 """Interleaved per-solve timing and parity of two sirmc source trees.
 
-    python3 scripts/ab_solves.py A_SRC B_SRC --set protocol|high-rank|files|sweep|tiny \
+    python3 scripts/ab_solves.py A_SRC B_SRC \
+        --set protocol|high-rank|files|sweep|narrow|tiny \
         --rounds N [--seeds 1,2,3]
 
 A_SRC and B_SRC are source checkouts, each holding src/sirmc. Both are loaded
@@ -29,7 +30,9 @@ four methods at scales 1e-2 and 1 plus scale 1e2 on the instance of seed
 20240501; high-rank is 300x200 at (0.2, 0.5) with how, hoc and hog; files
 is how on 1000x80 at (0.025, 0.3), one instance per seed; sweep is the 4x4
 transition grid at 150x100 with how and nnm at mu = 1.1 and 250 iterations,
-one trial, solved in turn. tiny is one 60x40 instance, for smoke tests.
+one trial, solved in turn. narrow has no perfbench workload: how and nnm on
+4000x40 at (0.05, 0.3) and 1000x120 at (0.05, 0.5), where every warm shrink
+after the first takes the Gram side. tiny is one 60x40 instance, for smoke tests.
 Solves run on the BLAS thread count that sirmc.solve picks (one at these
 sizes).
 """
@@ -91,6 +94,9 @@ def cases(pkg, name, seeds):
             add(bench.SyntheticSpec(300, 200, 0.2, 0.5, seed), ("how", "hoc", "hog"))
         elif name == "files":
             add(bench.SyntheticSpec(1000, 80, 0.025, 0.3, seed), ("how",))
+        elif name == "narrow":
+            add(bench.SyntheticSpec(4000, 40, 0.05, 0.3, seed), ("how", "nnm"))
+            add(bench.SyntheticSpec(1000, 120, 0.05, 0.5, seed), ("how", "nnm"))
         elif name == "sweep":
             for i, f_r in enumerate(bench.TRANSITION_FR):
                 for j, f_m in enumerate(bench.TRANSITION_FM):
@@ -149,9 +155,9 @@ def quality(todo, first, side):
             "worst_rel_rmse": max(rel), "failed": sum(r >= FAILED_RMSE for r in rel)}
 
 
-SETS = ("protocol", "high-rank", "files", "sweep", "tiny")
+SETS = ("protocol", "high-rank", "files", "sweep", "narrow", "tiny")
 DEFAULT_SEEDS = {"protocol": [1], "high-rank": [1], "files": [4, 5, 6, 7], "sweep": [1],
-                 "tiny": [1]}
+                 "narrow": [1, 2], "tiny": [1]}
 
 
 def main(argv=None):

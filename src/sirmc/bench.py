@@ -112,10 +112,11 @@ def rmse(X_full: np.ndarray, M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """One (instance, method) outcome; wall_time covers the solve only.
+    """One (instance, method) outcome; wall_time covers the solve only, and
+    blas_threads is the BLAS count the solve ran under (its trace's).
 
-    A solve that raised carries rmse = inf, iters = 0 and, in failure, the
-    exception's type and message.
+    A solve that raised carries rmse = inf, iters = 0, blas_threads = None
+    and, in failure, the exception's type and message.
     """
 
     method: str
@@ -123,6 +124,7 @@ class TrialReport:
     iters: int
     wall_time: float
     failure: str | None = None
+    blas_threads: int | None = None
 
     @property
     def success(self) -> bool:
@@ -146,7 +148,8 @@ def _run_methods(X_full, X_obs, methods, configs) -> list[TrialReport]:
                                        f"{type(exc).__name__}: {exc}"))
             continue
         wall_time = time.perf_counter() - t0
-        reports.append(TrialReport(method, rmse(X_full, M), trace.iters, wall_time))
+        reports.append(TrialReport(method, rmse(X_full, M), trace.iters, wall_time,
+                                   blas_threads=trace.blas_threads))
     return reports
 
 

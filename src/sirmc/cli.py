@@ -90,12 +90,20 @@ def _trial_threads(args) -> int:
     return 1 if args.deterministic else args.threads
 
 
+def _span(counts: list) -> str:
+    """The one value of the sorted counts, their range when they differ, or unknown."""
+    if not counts:
+        return "unknown"
+    return f"{counts[0]}" if counts[0] == counts[-1] else f"{counts[0]}-{counts[-1]}"
+
+
 def _log_threads(args, grid: bench.SweepGrid) -> None:
-    """Log the pool workers a grid ran on and each solve's BLAS threads."""
-    workers, count = bench.pool_workers(_trial_threads(args), len(grid.reports)), blas.threads()
-    per_solve = "unknown" if count is None else min(count, blas.per_solve(args.m * args.n, workers))
-    total = "unknown" if count is None else workers * per_solve
-    _log(f"threads: {workers} trial x {per_solve} BLAS = {total} on {blas.cpus()} CPUs")
+    """Log the pool workers a grid ran on and the BLAS threads its solves reported."""
+    workers = bench.pool_workers(_trial_threads(args), len(grid.reports))
+    counts = sorted({r.blas_threads for reports in grid.reports.values() for r in reports}
+                    - {None})
+    _log(f"threads: {workers} trial x {_span(counts)} BLAS = "
+         f"{_span([workers * c for c in counts])} on {blas.cpus()} CPUs")
 
 
 def _solver_config(args, method: str) -> SolverConfig:

@@ -10,13 +10,17 @@ values above the threshold matter. Without a warm start the shrinkage runs
 the dense SVD. Given one (the right singular vectors the previous shrink
 kept, k columns) it chooses its route once, in `SvdTriplet.of`, in this
 order: a certified randomized subspace iteration (Halko, Martinsson &
-Tropp 2011) on one block of k + OVERSAMPLE columns, while that is at most
-min(m, n) // BLOCK_DIVISOR; the Gram route on G = D^T D or D D^T, while
-that bound is at least OVERSAMPLE; the dense SVD last. The Gram route
-first runs block Rayleigh-Ritz steps on G from the warm start (Saad 2011),
-when the previous shrink saw a gap below its kept values, and proves the
-count of values above lam with one Cholesky factorization; else it takes
-the full eigendecomposition of G.
+Tropp 2011) on one block of k + OVERSAMPLE columns, while BLOCK_DIVISOR
+such blocks fit in min(m, n); the Gram route on G = D^T D or D D^T; the
+dense SVD last. A truncated shrink makes about eight products of D with its
+block (two per power step over about three steps, the first and the
+certifying one), the Gram route one product with D's n columns to form G,
+so a narrow D goes to the Gram side. A D of at most DENSE_ENTRIES entries
+takes the exact dense SVD on every shrink. The Gram route first runs block
+Rayleigh-Ritz steps on G from the warm start (Saad 2011), when the
+previous shrink saw a gap below its kept values, and proves the count of
+values above lam with one Cholesky factorization; else it takes the full
+eigendecomposition of G.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from numpy.random import Generator, Philox  # at load, not in the first timed sh
 from .errors import NonFiniteInput, NonFiniteIterate, SvdFailure
 from .penalties import Penalty, prox_eval
 
-# Truncated SVD constants (fixed; not configuration).
+# Route and truncated SVD constants (fixed; not configuration).
 OVERSAMPLE = 10          # block columns beyond the warm rank
 POWER_STEPS = 12         # power steps allowed before giving up
-BLOCK_DIVISOR = 5        # truncate while the block is <= min(m, n) / 5; wider, _gram_svd costs less
+BLOCK_DIVISOR = 8        # truncate while 8 blocks fit in min(m, n): ~8 block products vs G's one
+DENSE_ENTRIES = 4096     # a D of at most this many entries takes the dense SVD on every shrink
 SETTLE_TOL = 1e-12       # settled: kept Ritz values move <= this times s_1
 DROP_MARGIN = 10         # largest dropped Ritz value: below lam by this times its rise
 RESIDUAL_TOL = 1e-10     # certified: triplet residuals <= this times s_1
@@ -60,22 +65,20 @@ class SvdTriplet:
     def of(cls, D: np.ndarray, above: float | None = None,
            start: np.ndarray | None = None, gapped: bool = False) -> "SvdTriplet":
         """Dense thin SVD of D; with a threshold `above` and a warm start (n x k,
-        orthonormal columns), the first route that applies and certifies:
-        the truncated SVD when k + OVERSAMPLE <= min(m, n) // BLOCK_DIVISOR,
-        the Gram route when that bound is at least OVERSAMPLE (trying its
-        block from `start` first when the previous shrink was `gapped`),
-        else LAPACK."""
+        orthonormal columns) on a D of more than DENSE_ENTRIES entries, the
+        first route that applies and certifies: the truncated SVD when
+        BLOCK_DIVISOR * (k + OVERSAMPLE) <= min(m, n), then the Gram route
+        (trying its block from `start` first when the previous shrink was
+        `gapped`), else LAPACK."""
         try:
-            if start is not None:
-                limit = min(D.shape) // BLOCK_DIVISOR
-                if start.shape[1] + OVERSAMPLE <= limit:
+            if start is not None and D.size > DENSE_ENTRIES:
+                if BLOCK_DIVISOR * (start.shape[1] + OVERSAMPLE) <= min(D.shape):
                     found = _truncated_svd(D, above, start)
                     if found is not None:
                         return cls(*found, route="truncated")
-                if limit >= OVERSAMPLE:
-                    found = _gram_svd(D, above, start if gapped else None)
-                    if found is not None:
-                        return cls(*found)
+                found = _gram_svd(D, above, start if gapped else None)
+                if found is not None:
+                    return cls(*found)
             U, s, Vh = np.linalg.svd(D, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SvdFailure(f"SVD did not converge: {exc}") from exc

@@ -137,7 +137,7 @@ class TestPhaseSweep:
         for t in range(2):
             failed, solved = grid.reports[(0, 0, t)]
             assert (failed.rmse, failed.iters) == (float("inf"), 0)
-            assert failed.failure == "LinAlgError: forced"
+            assert failed.failure == "LinAlgError: forced" and failed.blas_threads is None
             assert solved.iters > 0 and solved.failure is None
         # One failed solve no longer aborts a runtime table.
         table = runtime_bench((2,), ("how", "nnm"), trials=2, m=10, n=8, seed=0,
@@ -153,6 +153,21 @@ class TestPhaseSweep:
             err = capsys.readouterr().err.splitlines()
             assert "how: 2 solves failed" in err
             assert not any(line.startswith("nnm:") and "failed" in line for line in err)
+
+    def test_reports_carry_the_blas_threads_of_each_trace(self, monkeypatch):
+        real_solve = bench.solve
+
+        def marked(X, config):
+            M, trace = real_solve(X, config)
+            trace.blas_threads = 3 if config.penalty.kind == "how" else 5
+            return M, trace
+
+        monkeypatch.setattr(bench, "solve", marked)
+        configs = {m: bench.config_for_method(m, **FAST) for m in ("how", "nnm")}
+        grid = phase_sweep((0.1,), (0.2,), ("how", "nnm"), trials=2, m=10, n=8, seed=0,
+                           configs=configs, threads=2)
+        assert [[r.blas_threads for r in reports] for reports in grid.reports.values()] == [
+            [3, 5], [3, 5]]
 
     def test_wall_time_covers_solve_only(self, monkeypatch):
         def instant_solve(X, config):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from sirmc import SyntheticSpec, blas, cli, gen_synthetic, load_observed, rmse, save_matrix
+from sirmc import SyntheticSpec, bench, blas, cli, gen_synthetic, load_observed, rmse, save_matrix
 from sirmc.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -202,6 +202,25 @@ class TestSweep:
         assert main(args + ["--deterministic"]) == 0
         assert (f"threads: 1 trial x 1 BLAS = 1 on {nproc} CPUs"
                 in capsys.readouterr().err.splitlines())
+
+    @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
+                                         ["bench", "--ranks", "2"]])
+    def test_threads_line_prints_the_counts_the_solves_report(self, tmp_path, monkeypatch,
+                                                             capsys, command):
+        real_solve = bench.solve
+
+        def reported(X, config):
+            M, trace = real_solve(X, config)
+            trace.blas_threads = 1 if config.penalty.kind == "soft" else 2
+            return M, trace
+
+        monkeypatch.setattr(bench, "solve", reported)
+        for methods, counts in (("nnm", "1 BLAS = 2"), ("nnm,how", "1-2 BLAS = 2-4")):
+            assert main([*command, "--trials", "2", "--methods", methods, "--m", "12",
+                         "--n", "10", "--threads", "2", *FAST_SOLVER,
+                         "--out", str(tmp_path / "o.csv")]) == 0
+            assert (f"threads: 2 trial x {counts} on {blas.cpus()} CPUs"
+                    in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
                                          ["bench", "--ranks", "2"]])

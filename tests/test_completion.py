@@ -576,8 +576,8 @@ def test_benchmark_tracer_sees_each_step_once_per_iteration(tracing):
         assert all(after[name] is value for name, value in attrs.items()), owner
 
 
-def _protocol_instance(f_r=0.05, f_m=0.3):
-    return gen_synthetic(SyntheticSpec(m=300, n=200, f_r=f_r, f_m=f_m, seed=1))
+def _protocol_instance(f_r=0.05, f_m=0.3, m=300, n=200):
+    return gen_synthetic(SyntheticSpec(m=m, n=n, f_r=f_r, f_m=f_m, seed=1))
 
 
 @pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
@@ -607,10 +607,12 @@ def test_truncated_shrink_matches_dense_svd_every_iteration(method, monkeypatch)
 @pytest.mark.parametrize("cell, methods", [
     ((0.05, 0.3), ("nnm", "how", "hoc", "hog")),
     pytest.param((0.2, 0.5), ("how", "hoc", "hog"), marks=pytest.mark.slow),
+    pytest.param((0.05, 0.3, 2000, 40), ("how", "nnm"), id="narrow"),
 ])
 def test_truncated_solve_matches_dense_solve(cell, methods, monkeypatch):
     # The same iteration counts as with the dense SVD in every shrink, and
-    # the relative RMSE to 3 significant digits.
+    # the relative RMSE to 3 significant digits. The narrow 2000x40 cell
+    # takes the Gram side on every warm shrink.
     truth, X_obs = _protocol_instance(*cell)
     fast = {m: solve(X_obs, bench.config_for_method(m)) for m in methods}
     monkeypatch.setattr(spectral, "_truncated_svd", lambda D, lam, start: None)

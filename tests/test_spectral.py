@@ -208,10 +208,10 @@ def _spy(monkeypatch, owner, name):
 
 
 def test_warm_start_too_wide_to_truncate_goes_to_gram(rng, monkeypatch):
-    # 40 + OVERSAMPLE columns exceed 120 // BLOCK_DIVISOR = 24.
+    # BLOCK_DIVISOR blocks of 40 + OVERSAMPLE columns exceed 120.
     values, width = TRUNCATION_CASES["wide_warm"]
     D, V = planted(rng, values)
-    assert width + spectral.OVERSAMPLE > min(D.shape) // spectral.BLOCK_DIVISOR
+    assert spectral.BLOCK_DIVISOR * (width + spectral.OVERSAMPLE) > min(D.shape)
     truncated = _spy(monkeypatch, spectral, "_truncated_svd")
     out = _matches_dense(D, how(1.0), V[:, :width])
     assert truncated == [] and out.route == "gram"
@@ -229,7 +229,7 @@ def test_saturated_block_gives_up_after_one_block(rng, monkeypatch):
 
 
 def test_small_warm_shrink_takes_no_route_before_lapack(rng, monkeypatch):
-    # At 10 x 8 the block bound is 8 // BLOCK_DIVISOR = 1 < OVERSAMPLE.
+    # 10 x 8 has at most DENSE_ENTRIES entries: LAPACK decides every shrink.
     start = np.linalg.qr(rng.standard_normal((8, 3)))[0]
     routes = [_spy(monkeypatch, spectral, name) for name in ("_truncated_svd", "_gram_svd")]
     svd = _spy(monkeypatch, np.linalg, "svd")
@@ -242,9 +242,24 @@ def test_small_warm_shrink_takes_no_route_before_lapack(rng, monkeypatch):
     assert out.route == "dense" and len(svd) == 2 and routes == [[], []]
 
 
+# Each shape's route: LAPACK at DENSE_ENTRIES or fewer, the truncated SVD
+# while BLOCK_DIVISOR blocks of k + OVERSAMPLE columns fit in min(m, n),
+# else the Gram side; every result against the dense shrink.
+@pytest.mark.parametrize("m, n, k, route", [
+    (10, 8, 2, "dense"), (60, 40, 2, "dense"),
+    (4000, 40, 2, "gram"), (1000, 80, 2, "gram"), (150, 100, 5, "gram"),
+    (300, 200, 10, "truncated"), (300, 200, 40, "gram")])
+def test_route_follows_the_shape(rng, m, n, k, route):
+    values = list(np.linspace(8.0, 1.5, k)) + list(np.linspace(0.9, 0.1, min(m, n) - k))
+    D, V = planted(rng, values, m, n)
+    out = _matches_dense(D, how(1.0), V[:, :k])
+    assert out.route == route and out.rank == k
+
+
 def test_trace_route_counts_match_the_shrinks(monkeypatch):
-    # At 150x100, rank 10, 65% missing, the solve takes all three routes;
-    # the trace holds one route per shrink, as SvdTriplet.of returned it.
+    # At 150x100, rank 10, 65% missing, the solve takes three routes, none
+    # truncated (after the first shrink BLOCK_DIVISOR blocks no longer fit
+    # in 100); the trace holds one route per shrink, as SvdTriplet.of returned it.
     _, X_obs = bench.gen_synthetic(bench.SyntheticSpec(m=150, n=100, f_r=0.1, f_m=0.65, seed=1))
     of = SvdTriplet.__dict__["of"].__func__
     routes = Counter()
@@ -257,7 +272,7 @@ def test_trace_route_counts_match_the_shrinks(monkeypatch):
     monkeypatch.setattr(SvdTriplet, "of", classmethod(spy))
     _, trace = solve(X_obs, bench.config_for_method("how", mu=1.10, max_iters=250))
     assert Counter(trace.route) == routes
-    assert set(routes) == {"truncated", "gram", "dense"}
+    assert set(routes) == {"gram_block", "gram", "dense"}
 
 
 # The Gram route against np.linalg.svd: kept values above lam = 1 planted
