@@ -17,7 +17,7 @@ counts, route sequences or kept-rank sequences differ, and max|M - M_A| /
 max|M_A|. The ulp control's figures are the roundoff floor of the solves: a
 last-bit change moves M that far, and can flip a shrink whose certificate
 sits at its bound. For A and for B it then prints each side's summed
-iterations, its shrinks by route (truncated, gram_block, gram, dense), its
+iterations, its shrinks by route (see route_names), its
 worst relative RMSE ||M - X||_F / ||X||_F against the
 truth, and the number of solves at a relative RMSE of at least
 FAILED_RMSE = 1e-3 (bench's success bound, made scale-free for the scaled
@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import itertools
 import json
 import random
 import statistics
@@ -140,18 +141,23 @@ def compare(todo, first, side):
     return out
 
 
-ROUTES = ("truncated", "gram_block", "gram", "dense")
+def route_names(orders, first):
+    """The routes to count: those of each tree's spectral.ROUTES, in its order
+    (`orders`; a tree older than ROUTES gives ()), then every other route that
+    a trace in `first` names, in the order first named."""
+    named = (route for _, trace in first.values() for route in trace.route)
+    return list(dict.fromkeys([*itertools.chain(*orders), *named]))
 
 
-def quality(todo, first, side):
+def quality(todo, first, side, routes):
     """One side's first solves against the truth: summed iterations, the
-    shrinks taken by each route, the worst relative RMSE and the number of
-    solves at FAILED_RMSE or above."""
+    shrinks taken by each of the routes, the worst relative RMSE and the
+    number of solves at FAILED_RMSE or above."""
     rel = [float(np.linalg.norm(first[side, k][0] - case[1]) / np.linalg.norm(case[1]))
            for k, case in enumerate(todo)]
-    routes = [r for k in range(len(todo)) for r in first[side, k][1].route]
+    taken = [r for k in range(len(todo)) for r in first[side, k][1].route]
     return {"iters": sum(first[side, k][1].iters for k in range(len(todo))),
-            "routes": {route: routes.count(route) for route in ROUTES},
+            "routes": {route: taken.count(route) for route in routes},
             "worst_rel_rmse": max(rel), "failed": sum(r >= FAILED_RMSE for r in rel)}
 
 
@@ -199,7 +205,10 @@ def main(argv=None):
     for k, case in enumerate(todo):
         first["ulp", k] = run(ulp_side, case)[1:]
     parity = {side: compare(todo, first, side) for side in ("B", "ulp")}
-    scores = {side: quality(todo, first, side) for side in ("A", "B")}
+    orders = [getattr(importlib.import_module(f"{sides[side].__name__}.spectral"), "ROUTES", ())
+              for side in ("A", "B")]
+    routes = route_names(orders, first)
+    scores = {side: quality(todo, first, side, routes) for side in ("A", "B")}
     record = {
         "set": args.set, "seeds": seeds, "solves": len(todo), "rounds": args.rounds,
         "ratio_b_a": ratios, "ratio_a_a": controls,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas
+from . import blas, matio
 from .completion import ObservedMatrix, SolverConfig, solve
 from .errors import DomainError, InvalidSpec, ShapeMismatch, SirmcError
 from .penalties import METHODS, make_penalty
@@ -189,13 +189,15 @@ class SweepGrid:
         return int(np.sum(self.success_rate[:, :, k] >= SUCCESS_CELL_RATE))
 
     def to_csv(self, path) -> None:
-        success_rate, mean_log10 = self.success_rate, self.mean_log10_rmse
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("f_r,f_m,method,success_rate,mean_log10_rmse,trials\n")
-            for i, j, k in np.ndindex(success_rate.shape):
-                f.write(f"{float(self.f_r_values[i])!r},{float(self.f_m_values[j])!r},"
-                        f"{self.methods[k]},{float(success_rate[i, j, k])!r},"
-                        f"{float(mean_log10[i, j, k])!r},{self.trials}\n")
+        success_rate = self.success_rate
+        i, j, k = np.indices(success_rate.shape).reshape(3, -1)
+        matio.write_table(path, [("f_r", "%r"), ("f_m", "%r"), ("method", "%s"),
+                                 ("success_rate", "%r"), ("mean_log10_rmse", "%r"),
+                                 ("trials", "%d")],
+                          [np.asarray(self.f_r_values, dtype=float)[i],
+                           np.asarray(self.f_m_values, dtype=float)[j],
+                           np.asarray(self.methods)[k], success_rate.ravel(),
+                           self.mean_log10_rmse.ravel(), np.full(k.size, self.trials)])
 
 
 def pool_workers(threads: int, tasks: int) -> int:

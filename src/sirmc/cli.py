@@ -111,12 +111,11 @@ def _solver_config(args, method: str) -> SolverConfig:
                                    mu=args.mu, xi=args.xi, max_iters=args.max_iters)
 
 
-def _parse_fractions(text: str, flag: str):
+def _parse_list(text: str, flag: str, kind=float, what="numbers") -> tuple:
     try:
-        vals = tuple(float(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
-    return vals
+        raise UsageError(f"{flag}: expected comma-separated {what}, got {text!r}") from None
 
 
 def _refuse_unused_shape(methods, flag: str, shape) -> None:
@@ -173,8 +172,8 @@ def cmd_sweep(args) -> int:
     else:
         if args.fr_values is None or args.fm_values is None:
             raise UsageError("give --preset or both --fr-values and --fm-values")
-        fr_values = _parse_fractions(args.fr_values, "--fr-values")
-        fm_values = _parse_fractions(args.fm_values, "--fm-values")
+        fr_values = _parse_list(args.fr_values, "--fr-values")
+        fm_values = _parse_list(args.fm_values, "--fm-values")
     configs = _method_configs(args)
     grid = bench.phase_sweep(fr_values, fm_values, tuple(configs), args.trials,
                              m=args.m, n=args.n, seed=args.seed,
@@ -191,21 +190,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        ranks = tuple(int(r) for r in args.ranks.split(","))
-    except ValueError:
-        raise UsageError(f"--ranks: expected comma-separated integers, got {args.ranks!r}") from None
+    ranks = _parse_list(args.ranks, "--ranks", int, "integers")
     configs = _method_configs(args)
     grid = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
                                m=args.m, n=args.n, seed=args.seed,
                                configs=configs, threads=_trial_threads(args))
     _log_threads(args, grid)
     mean_seconds = grid.cell_mean(lambda r: r.wall_time)[:, 0, :]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("rank,method,mean_seconds,trials\n")
-        for i, rank in enumerate(ranks):
-            for k, method in enumerate(grid.methods):
-                f.write(f"{rank},{method},{float(mean_seconds[i, k])!r},{grid.trials}\n")
+    i, k = np.indices(mean_seconds.shape).reshape(2, -1)
+    matio.write_table(args.out, [("rank", "%d"), ("method", "%s"), ("mean_seconds", "%r"),
+                                 ("trials", "%d")],
+                      [np.asarray(ranks)[i], np.asarray(grid.methods)[k], mean_seconds.ravel(),
+                       np.full(i.size, grid.trials)])
     _log(f"benchmarked ranks {list(ranks)}; wrote {args.out}")
     _log_failed_solves(grid)
     return EXIT_OK
@@ -226,14 +222,10 @@ def cmd_prox_curve(args) -> int:
     count = int(round(rows)) + 1
     xs = args.xmin + args.step * np.arange(count)
     # First: the oracle refuses a grid too large for these rows before it allocates one.
-    reg = np.asarray(penalties.implicit_regularizer(penalty, xs))
-    loss = np.asarray(penalties.loss_eval(penalty, xs))
-    prox = np.asarray(penalties.prox_eval(penalty, xs))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("x,loss,prox,implicit_regularizer\n")
-        for i in range(count):
-            f.write(f"{float(xs[i])!r},{float(loss[i])!r},{float(prox[i])!r},"
-                    f"{float(reg[i])!r}\n")
+    reg = penalties.implicit_regularizer(penalty, xs)
+    matio.write_table(args.out, [(name, "%r") for name in ("x", "loss", "prox",
+                                                           "implicit_regularizer")],
+                      [xs, penalties.loss_eval(penalty, xs), penalties.prox_eval(penalty, xs), reg])
     _log(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
@@ -243,12 +235,8 @@ def cmd_selftest(args) -> int:
     results = selftest.run_selftest()
     all_passed = all(r.passed for r in results)
     if args.json:
-        report = {
-            "suites": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                       for r in results],
-            "all_passed": all_passed,
-        }
-        print(json.dumps(report, indent=2))
+        print(json.dumps({"suites": [vars(r) for r in results], "all_passed": all_passed},
+                         indent=2))
     for r in results:
         _log(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     _log("selftest " + ("passed" if all_passed else "FAILED"))
@@ -307,6 +295,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "out"):  # checked before any work, which a bad path would waste
+            for suffix in ("", ".trace.csv") if args.command == "complete" else ("",):
+                matio.check_writable(args.out + suffix)
         deterministic = getattr(args, "deterministic", False)
         if deterministic and blas.threads() is None:
             _log("warning: --deterministic: BLAS thread count unknown (no OpenBLAS found), "

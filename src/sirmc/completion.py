@@ -45,7 +45,7 @@ from .errors import (
     ZeroNormInput,
 )
 from .penalties import Penalty, how, validate
-from .spectral import Shrinkage, norm_estimate, shrink_singular_values
+from .spectral import ROUTES, Shrinkage, norm_estimate, shrink_singular_values
 
 
 @dataclass
@@ -126,11 +126,11 @@ class IterTrace:
     rel_e is ||P_O(X - M)||_F / ||P_O X||_F after the iteration's updates,
     the observed-set residual that the implicit E leaves (feas is its
     numerator). kept_rank is the number of singular values above the
-    threshold 1/rho, and route the SvdTriplet route each shrink took
-    ("truncated", "gram_block", "gram" or "dense"); the CSV writes it as
-    three 0/1 columns, dense_svd, gram_svd and gram_block_svd, so the file
-    stays all-numeric. norm_x, feas, delta_m and rho are in data units (see
-    solve); rel_e is scale-free.
+    threshold 1/rho, and route the SvdTriplet route each shrink took, one
+    of spectral.ROUTES; the CSV writes it as a 0/1 column per route but the
+    first, last route first (dense_svd, gram_svd, gram_block_svd), so the
+    file stays all-numeric. norm_x, feas, delta_m and rho are in data units
+    (see solve); rel_e is scale-free.
     """
 
     rel_e: list = field(default_factory=list)
@@ -150,16 +150,13 @@ class IterTrace:
         return len(self.rel_e)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("k,rel_E,delta_M,feas,rho,wall_time_s,kept_rank,dense_svd,gram_svd,"
-                    "gram_block_svd\n")
-            for k in range(len(self.rel_e)):
-                f.write(
-                    f"{k + 1},{self.rel_e[k]!r},{self.delta_m[k]!r},"
-                    f"{self.feas[k]!r},{self.rho[k]!r},{self.wall_time[k]!r},"
-                    f"{self.kept_rank[k]},{int(self.route[k] == 'dense')},"
-                    f"{int(self.route[k] == 'gram')},{int(self.route[k] == 'gram_block')}\n"
-                )
+        from .matio import write_table  # matio imports this module
+        route, onehot = np.asarray(self.route, dtype=str), ROUTES[:0:-1]
+        write_table(path, [("k", "%d"), ("rel_E", "%r"), ("delta_M", "%r"), ("feas", "%r"),
+                           ("rho", "%r"), ("wall_time_s", "%r"), ("kept_rank", "%d")]
+                    + [(f"{r}_svd", "%d") for r in onehot],
+                    [range(1, self.iters + 1), self.rel_e, self.delta_m, self.feas, self.rho,
+                     self.wall_time, self.kept_rank] + [route == r for r in onehot])
 
 
 def update_m(prev: Shrinkage, x: np.ndarray, Lambda: np.ndarray, rho: float,

@@ -1,10 +1,10 @@
-"""CSV matrix and coordinate-mask file I/O.
+"""CSV file I/O: matrix and coordinate-mask files in, every table out.
 
 Matrix files are dense CSV, one row per line; the token `nan` (any case)
 marks a missing entry when loading without a mask file. Mask files list
 observed positions as 0-based `i,j` pairs, one per line. Files are UTF-8,
-a leading byte-order mark allowed. Values are written with 17 significant
-digits so save/load round-trips exactly.
+a leading byte-order mark allowed. Tables are written by write_table, a
+matrix with 17 significant digits so save/load round-trips exactly.
 
 Parsing converts `BLOCK_TOKENS` tokens per numpy call, which applies Python's
 `float()` or `int()` to each. A file that path does not take whole goes to
@@ -12,6 +12,8 @@ the per-token loop, the referee that alone raises the located errors.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -65,26 +67,19 @@ def _parse_matrix(path):
 
 
 def _loop_matrix(path, lines) -> np.ndarray:
-    rows = []
-    width = None
+    values, width = [], lines[0].count(",") + 1
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
             raise ParseError(f"{path}:{lineno}: blank line inside matrix")
         tokens = line.split(",")
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise ParseError(
-                f"{path}:{lineno}: row has {len(tokens)} columns, expected {width}"
-            )
-        row = []
+        if len(tokens) != width:
+            raise ParseError(f"{path}:{lineno}: row has {len(tokens)} columns, expected {width}")
         for col, tok in enumerate(tokens, start=1):
             try:
-                row.append(float(tok))  # parses `nan` in any case, and blanks around a token
+                values.append(float(tok))  # parses `nan` in any case, and blanks around a token
             except ValueError:
                 raise ParseError(f"{path}:{lineno}:{col}: bad number {tok.strip()!r}") from None
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    return np.array(values, dtype=float).reshape(len(lines), width)
 
 
 def _parse_mask(path, shape) -> np.ndarray:
@@ -144,14 +139,32 @@ def load_observed(matrix_path, mask_path=None) -> ObservedMatrix:
 
 
 def save_matrix(matrix, path) -> None:
-    """Write a dense matrix as CSV with LF endings and 17 significant digits."""
+    """Write a dense matrix as headerless CSV with 17 significant digits."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {matrix.shape}")
-    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    write_table(path, [(None, "%.17g")] * matrix.shape[1], matrix.T)
+
+
+def write_table(path, columns, data) -> None:
+    """Write data, the columns' values (a matrix passes its transpose), as CSV under
+    a header of the names in columns, (name, %-format) pairs, unless they are None,
+    BLOCK_TOKENS values at a time. An OSError is an IoError that names the path."""
+    names, formats = zip(*columns)
+    line, step = ",".join(formats) + "\n", max(1, BLOCK_TOKENS // len(formats))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for block in np.array_split(matrix, -(-matrix.size // BLOCK_TOKENS)):
-                f.write(row * len(block) % tuple(block.ravel().tolist()))
+            f.write("" if names[0] is None else ",".join(names) + "\n")
+            for start in range(0, len(data[0]), step):
+                block = (np.asarray(column[start:start + step]).tolist() for column in data)
+                f.write("".join(line % row for row in zip(*block)))
     except OSError as exc:
         raise IoError(f"{path}: {exc}") from exc
+
+
+def check_writable(path) -> None:
+    """An IoError naming path unless a file can be written there; creates and truncates nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise IoError(f"{path}: cannot write a file there")

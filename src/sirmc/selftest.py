@@ -20,7 +20,7 @@ from .penalties import (
     moreau_argmin_oracle,
     prox_eval,
 )
-from .spectral import SvdTriplet, shrink_singular_values
+from .spectral import ROUTES, SvdTriplet, shrink_singular_values
 
 
 def default_penalties() -> list[Penalty]:
@@ -34,17 +34,13 @@ class SuiteResult:
     detail: str
 
 
-def _result(name, passed, detail) -> SuiteResult:
-    return SuiteResult(name, bool(passed), detail)
-
-
 def suite_oddness() -> SuiteResult:
     xs = np.linspace(0.0, 12.0, 4001)
     worst = 0.0
     for p in default_penalties():
         diff = np.abs(np.asarray(prox_eval(p, -xs)) + np.asarray(prox_eval(p, xs)))
         worst = max(worst, float(diff.max()))
-    return _result("prox_oddness", worst == 0.0, f"max |P(-x)+P(x)| = {worst:.3g}")
+    return SuiteResult("prox_oddness", worst == 0.0, f"max |P(-x)+P(x)| = {worst:.3g}")
 
 
 def suite_thresholding() -> SuiteResult:
@@ -57,7 +53,7 @@ def suite_thresholding() -> SuiteResult:
         nonzero_outside = np.all(vals[~inside] != 0.0)
         if not (zero_inside and nonzero_outside):
             detail.append(f"{p.kind}: inside-zero={zero_inside} outside-nonzero={nonzero_outside}")
-    return _result("prox_thresholding", not detail, "; ".join(detail) or "P(x)=0 iff |x|<=lam on 10^4 points")
+    return SuiteResult("prox_thresholding", not detail, "; ".join(detail) or "P(x)=0 iff |x|<=lam on 10^4 points")
 
 
 def suite_monotone() -> SuiteResult:
@@ -67,8 +63,8 @@ def suite_monotone() -> SuiteResult:
         vals = np.asarray(prox_eval(p, xs))
         if np.any(np.diff(vals) < 0.0):
             detail.append(p.kind)
-    return _result("prox_monotone", not detail,
-                   f"decreasing: {detail}" if detail else "nondecreasing on sampled grid")
+    return SuiteResult("prox_monotone", not detail,
+                       f"decreasing: {detail}" if detail else "nondecreasing on sampled grid")
 
 
 def suite_bias_dominance() -> SuiteResult:
@@ -81,7 +77,7 @@ def suite_bias_dominance() -> SuiteResult:
         nonincreasing = p.kind == "soft" or np.all(np.diff(b) <= 1e-12)
         if not (at_lam_exact and bounded and nonincreasing):
             detail.append(f"{p.kind}: at_lam={at_lam_exact} bounded={bounded} dec={nonincreasing}")
-    return _result("bias_dominance", not detail, "; ".join(detail) or "bias(lam)=lam, <=lam, nonincreasing")
+    return SuiteResult("bias_dominance", not detail, "; ".join(detail) or "bias(lam)=lam, <=lam, nonincreasing")
 
 
 def suite_loss_smoothness() -> SuiteResult:
@@ -99,7 +95,7 @@ def suite_loss_smoothness() -> SuiteResult:
         grad_gap = float(np.max(np.abs(fd - (xs - np.asarray(prox_eval(p, xs))))))
         ok &= c1_gap <= 1e-6 and grad_gap <= 1e-5
         details.append(f"{p.kind}: C1 gap {c1_gap:.2g}, grad gap {grad_gap:.2g}")
-    return _result("loss_smoothness", ok, "; ".join(details))
+    return SuiteResult("loss_smoothness", ok, "; ".join(details))
 
 
 def suite_moreau_oracle(n_points: int = 9) -> SuiteResult:
@@ -113,7 +109,7 @@ def suite_moreau_oracle(n_points: int = 9) -> SuiteResult:
         val_gap = float(np.max(np.abs(minval - np.asarray(loss_eval(p, xs)))))
         ok &= arg_gap <= step and val_gap <= 1e-4
         details.append(f"{p.kind}: arg {arg_gap:.2g}, val {val_gap:.2g}")
-    return _result("moreau_oracle", ok, "; ".join(details))
+    return SuiteResult("moreau_oracle", ok, "; ".join(details))
 
 
 def suite_spectral(seed: int = 0) -> SuiteResult:
@@ -136,7 +132,7 @@ def suite_spectral(seed: int = 0) -> SuiteResult:
         zero_ok = np.all(shrink_singular_values(0.5 * np.eye(6), p).M == 0.0)
         ok &= worst_spec <= 1e-8 and worst_unitary <= 1e-8 and bool(zero_ok)
         details.append(f"{p.kind}: spec {worst_spec:.2g}, unit {worst_unitary:.2g}")
-    return _result("spectral_shrinkage", ok, "; ".join(details))
+    return SuiteResult("spectral_shrinkage", ok, "; ".join(details))
 
 
 def planted(rng, values, m: int = 200, n: int = 120):
@@ -170,7 +166,7 @@ def suite_truncated_shrink(seed: int = 0) -> SuiteResult:
     kept values and outputs within 1e-10 * sigma_1."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     worst = 0.0
-    routes = dict.fromkeys(("truncated", "gram_block", "gram", "dense"), 0)
+    routes = dict.fromkeys(ROUTES, 0)
     details = []
     for name, (values, width) in TRUNCATION_CASES.items():
         D, V = planted(rng, values)
@@ -185,7 +181,7 @@ def suite_truncated_shrink(seed: int = 0) -> SuiteResult:
     ok = not details
     details.append(", ".join(f"{n} {route}" for route, n in routes.items())
                    + f" of {sum(routes.values())}; worst error {worst:.2g} * sigma_1")
-    return _result("truncated_shrink", ok, "; ".join(details))
+    return SuiteResult("truncated_shrink", ok, "; ".join(details))
 
 
 def run_selftest() -> list[SuiteResult]:

@@ -46,6 +46,7 @@ FILL_SEED = 20230417     # Philox key of the start block's fill columns and norm
 NORM_POWER_STEPS = 4     # power steps of norm_estimate
 GAP = 1e-2               # gapped: (sigma_{k+1} / sigma_k)^2 <= GAP below the k kept values
 GRAM_STEPS = 4           # Rayleigh-Ritz steps of the Gram block before eigh runs
+ROUTES = ("truncated", "gram_block", "gram", "dense")  # SvdTriplet.route, in the order tried
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ import numpy as np
 
 import pytest
 
+from sirmc import spectral
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "scripts" / "ab_solves.py"
 
@@ -78,14 +80,36 @@ def test_more_failed_solves_exit_one(tmp_path):
     assert "2 of 2 solves at relative RMSE >= 0.001" in proc.stdout
 
 
-def test_shrinks_are_counted_by_route():
+def _script():
     spec = importlib.util.spec_from_file_location("ab_solves", SCRIPT)
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
+    return ab
+
+
+def test_shrinks_are_counted_by_route():
+    ab = _script()
     truth = np.ones((2, 2))
     todo = [("first", truth), ("second", truth)]
     first = {("B", 0): (truth, SimpleNamespace(iters=3, route=["truncated", "gram", "gram_block"])),
              ("B", 1): (truth, SimpleNamespace(iters=2, route=["gram_block", "dense"]))}
-    got = ab.quality(todo, first, "B")
+    got = ab.quality(todo, first, "B", ab.route_names([spectral.ROUTES], first))
     assert got["routes"] == {"truncated": 1, "gram_block": 2, "gram": 1, "dense": 1}
     assert got["iters"] == 5 and got["failed"] == 0
+
+
+def test_a_route_only_one_side_names_is_counted_on_both():
+    # B's traces name a route that neither tree's ROUTES lists, and A's tree
+    # predates ROUTES: the route is still counted, after B's ROUTES order.
+    ab = _script()
+    truth = np.ones((2, 2))
+    first = {("A", 0): (truth, SimpleNamespace(iters=2, route=["dense", "gram"])),
+             ("B", 0): (truth, SimpleNamespace(iters=3, route=["lanczos", "gram", "lanczos"]))}
+    routes = ab.route_names([(), spectral.ROUTES], first)
+    assert routes == [*spectral.ROUTES, "lanczos"]
+    assert ab.quality([("only", truth)], first, "A", routes)["routes"] == {
+        "truncated": 0, "gram_block": 0, "gram": 1, "dense": 1, "lanczos": 0}
+    assert ab.quality([("only", truth)], first, "B", routes)["routes"] == {
+        "truncated": 0, "gram_block": 0, "gram": 1, "dense": 0, "lanczos": 2}
+    # With no ROUTES on either side, the traces alone give the names.
+    assert ab.route_names([(), ()], first) == ["dense", "gram", "lanczos"]

@@ -28,6 +28,11 @@ def _write_matrix(path, X, mask=None):
     return str(path)
 
 
+def _write_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 class TestComplete:
     def test_fully_observed_identity(self, tmp_path, rng):
         X = rng.standard_normal((10, 8)) * 3.0
@@ -406,6 +411,42 @@ class TestParsing:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--preset", "transition-grid", "--trials", "1", "--m", "60", "--n", "40",
+         "--methods", "how"],
+        ["bench", "--ranks", "2,3", "--trials", "1"],
+        ["prox-curve"],
+        ["complete", str(DEMO_OBS)],
+    ], ids=lambda args: args[0])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys, args):
+        calls = []
+        for owner, name in ((bench, "phase_sweep"), (cli, "solve"),
+                            (cli.penalties, "implicit_regularizer")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+        out = tmp_path / "missing" / "x.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out}: cannot write a file there"]
+        assert calls == [] and not out.parent.exists()
+
+    def test_an_existing_out_keeps_its_bytes_when_a_run_fails(self, tmp_path, monkeypatch,
+                                                              capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"1,2\n")
+        trace = tmp_path / "out.csv.trace.csv"
+        trace.mkdir()  # complete's second output cannot be written
+        solves = []
+        monkeypatch.setattr(cli, "solve", lambda *a: solves.append(a))
+        assert main(["complete", str(DEMO_OBS), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {trace}: cannot write a file there\n"
+        assert solves == [] and out.read_bytes() == b"1,2\n"
+        trace.rmdir()
+        bad = _write_text(tmp_path / "bad.csv", "1,x\n")
+        assert main(["complete", bad, "--out", str(out)]) == 1  # fails after the check
+        assert main(["sweep", "--preset", "paper-grid", "--methods", "wnnm",
+                     "--out", str(out)]) == 1
+        assert out.read_bytes() == b"1,2\n" and not trace.exists()
 
     def test_unknown_flag_exit_one(self, tmp_path):
         assert main(["complete", "x.csv", "--bogus", "--out", "o.csv"]) == 1

@@ -10,6 +10,7 @@ from sirmc import (SvdTriplet, bench, how, prox_eval, shrink_singular_values, so
                    solve, spectral)
 from sirmc.errors import NonFiniteInput, NonFiniteIterate, SvdFailure
 from sirmc.spectral import norm_estimate
+from sirmc import selftest, spectral
 from sirmc.selftest import TRUNCATION_CASES, planted
 
 
@@ -152,6 +153,22 @@ def test_truncated_matches_dense_on_planted_spectra(rng, penalty, case):
         assert out.route == "truncated"  # the fast path ran
     if case in ("cluster_above", "saturated", "wide_warm"):
         assert out.route == "gram"
+
+
+def test_selftest_planted_cases_take_every_route(monkeypatch):
+    # The selftest's warm shrinks are the referee of every fast route: a route
+    # that no planted case reaches would go unchecked there.
+    taken = Counter()
+
+    def spy(D, penalty, start=None, **kwargs):
+        out = shrink_singular_values(D, penalty, start=start, **kwargs)
+        taken[out.route] += start is not None
+        return out
+
+    monkeypatch.setattr(selftest, "shrink_singular_values", spy)
+    assert selftest.suite_truncated_shrink().passed
+    assert {route: taken[route] for route in spectral.ROUTES} == {
+        "truncated": 8, "gram_block": 4, "gram": 8, "dense": 4}
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.9])
