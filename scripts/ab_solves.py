@@ -21,7 +21,9 @@ iterations, its shrinks by route (see route_names), its
 worst relative RMSE ||M - X||_F / ||X||_F against the
 truth, and the number of solves at a relative RMSE of at least
 FAILED_RMSE = 1e-3 (bench's success bound, made scale-free for the scaled
-protocol solves). The last line of standard output is the whole record as
+protocol solves). It prints the run's conditions: numpy's version, the
+CPUs the process may run on and the BLAS thread counts that each side's
+traces report. The last line of standard output is the whole record as
 JSON. The exit status is 1 when an iteration count of B differs or B has
 more such failed solves than A, else 0.
 
@@ -166,6 +168,14 @@ DEFAULT_SEEDS = {"protocol": [1], "high-rank": [1], "files": [4, 5, 6, 7], "swee
                  "narrow": [1, 2], "tiny": [1]}
 
 
+def blas_counts(first, side):
+    """The sorted distinct BLAS thread counts that one side's traces in
+    `first` report; an unknown count (None, or a tree older than the field)
+    is left out."""
+    return sorted({getattr(trace, "blas_threads", None)
+                   for (name, _), (_, trace) in first.items() if name == side} - {None})
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("a_src")
@@ -209,12 +219,16 @@ def main(argv=None):
               for side in ("A", "B")]
     routes = route_names(orders, first)
     scores = {side: quality(todo, first, side, routes) for side in ("A", "B")}
+    conditions = {"numpy": np.__version__,
+                  "cpus": importlib.import_module(f"{sides['A'].__name__}.blas").cpus(),
+                  "blas_threads_a": blas_counts(first, "A"),
+                  "blas_threads_b": blas_counts(first, "B")}
     record = {
         "set": args.set, "seeds": seeds, "solves": len(todo), "rounds": args.rounds,
         "ratio_b_a": ratios, "ratio_a_a": controls,
         "median_b_a": statistics.median(ratios), "median_a_a": statistics.median(controls),
         "parity_b": parity["B"], "parity_ulp_control": parity["ulp"],
-        "quality_a": scores["A"], "quality_b": scores["B"],
+        "quality_a": scores["A"], "quality_b": scores["B"], "conditions": conditions,
     }
     print(f"{args.set}: {len(todo)} solves x {args.rounds} rounds; median B/A "
           f"{record['median_b_a']:.4f} (range {min(ratios):.4f}-{max(ratios):.4f}), "
@@ -233,6 +247,9 @@ def main(argv=None):
         print(f"quality of {side}: {got['iters']} iterations; worst relative RMSE "
               f"{got['worst_rel_rmse']:.3g}; {got['failed']} of {len(todo)} solves at "
               f"relative RMSE >= {FAILED_RMSE:g}")
+    print(f"conditions: numpy {conditions['numpy']}, {conditions['cpus']} CPUs, BLAS threads "
+          f"A {conditions['blas_threads_a'] or 'unknown'}, "
+          f"B {conditions['blas_threads_b'] or 'unknown'}")
     print(json.dumps(record))
     worse = scores["B"]["failed"] > scores["A"]["failed"]
     return 1 if parity["B"]["iters_changed"] or worse else 0

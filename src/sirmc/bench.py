@@ -156,8 +156,9 @@ def _run_methods(X_full, X_obs, methods, configs) -> list[TrialReport]:
 @dataclass
 class SweepGrid:
     """Phase-transition results: each (i_fr, i_fm, trial) task's reports, one
-    TrialReport per method in methods order. Every per-cell number is derived
-    from them by cell_mean; a trial that raised is a failure with infinite rmse.
+    TrialReport per method in methods order, and the pool workers the tasks
+    ran on (1: in turn). Every per-cell number is derived from the reports by
+    cell_mean; a trial that raised is a failure with infinite rmse.
     """
 
     f_r_values: tuple
@@ -165,6 +166,7 @@ class SweepGrid:
     methods: tuple
     trials: int
     reports: dict  # (i_fr, i_fm, trial) -> [TrialReport]
+    workers: int = 1
 
     def cell_mean(self, value) -> np.ndarray:
         """Mean of value(report) over each cell's trials, as a (len(f_r),
@@ -200,11 +202,6 @@ class SweepGrid:
                            self.mean_log10_rmse.ravel(), np.full(k.size, self.trials)])
 
 
-def pool_workers(threads: int, tasks: int) -> int:
-    """Pool workers for tasks on threads trial threads; 1 runs them in turn."""
-    return max(1, min(threads, tasks))
-
-
 def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 200,
                 seed: int = 0, configs: dict | None = None, threads: int = 1) -> SweepGrid:
     """Run trials for every (f_r, f_m) cell and method; return their reports as a grid.
@@ -215,12 +212,15 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     change any number. Every cell's spec is checked before the first solve;
     per-trial solver errors are recorded as failures, not raised. The tasks,
     their draws and RMSEs included, run under blas.per_solve's share of the
-    CPUs, on pool_workers(threads, tasks) workers or in turn on one. The
-    BLAS count can change an RMSE's last bits, so below blas.SERIAL_ENTRIES
-    (one thread each way) any `threads` gives the same numbers.
+    CPUs, on min(threads, tasks) pool workers or in turn on one; the grid
+    records which. The BLAS count can change an RMSE's last bits, so below
+    blas.SERIAL_ENTRIES (one thread each way) any `threads` gives the same
+    numbers.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise InvalidSpec(f"threads must be >= 1, got {threads}")
     if seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {seed}")
     f_r_values = tuple(f_r_values)
@@ -237,7 +237,7 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         X_full, X_obs = gen_synthetic(spec)
         return _run_methods(X_full, X_obs, methods, configs)
 
-    workers = pool_workers(threads, len(specs))
+    workers = max(1, min(threads, len(specs)))
     with blas.limit(blas.per_solve(m * n, workers)):
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor  # ~10 ms; only pools pay it
@@ -247,7 +247,7 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
         else:
             results = {key: run_task(spec) for key, spec in specs.items()}
 
-    return SweepGrid(f_r_values, f_m_values, methods, trials, results)
+    return SweepGrid(f_r_values, f_m_values, methods, trials, results, workers)
 
 
 def runtime_bench(ranks, methods, trials, f_m: float = 0.1, m: int = 300, n: int = 200,

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -79,15 +78,7 @@ def _add_grid_flags(p: argparse.ArgumentParser, trials: int) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--deterministic", action="store_true",
-                   help="sequential trials and single-threaded numerics")
     p.add_argument("--out", required=True, help="output file path")
-
-
-def _trial_threads(args) -> int:
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
-    return 1 if args.deterministic else args.threads
 
 
 def _span(counts: list) -> str:
@@ -97,13 +88,12 @@ def _span(counts: list) -> str:
     return f"{counts[0]}" if counts[0] == counts[-1] else f"{counts[0]}-{counts[-1]}"
 
 
-def _log_threads(args, grid: bench.SweepGrid) -> None:
+def _log_threads(grid: bench.SweepGrid) -> None:
     """Log the pool workers a grid ran on and the BLAS threads its solves reported."""
-    workers = bench.pool_workers(_trial_threads(args), len(grid.reports))
     counts = sorted({r.blas_threads for reports in grid.reports.values() for r in reports}
                     - {None})
-    _log(f"threads: {workers} trial x {_span(counts)} BLAS = "
-         f"{_span([workers * c for c in counts])} on {blas.cpus()} CPUs")
+    _log(f"threads: {grid.workers} trial x {_span(counts)} BLAS = "
+         f"{_span([grid.workers * c for c in counts])} on {blas.cpus()} CPUs")
 
 
 def _solver_config(args, method: str) -> SolverConfig:
@@ -177,8 +167,8 @@ def cmd_sweep(args) -> int:
     configs = _method_configs(args)
     grid = bench.phase_sweep(fr_values, fm_values, tuple(configs), args.trials,
                              m=args.m, n=args.n, seed=args.seed,
-                             configs=configs, threads=_trial_threads(args))
-    _log_threads(args, grid)
+                             configs=configs, threads=args.threads)
+    _log_threads(grid)
     grid.to_csv(args.out)
     _log(f"swept {len(fr_values)}x{len(fm_values)} cells x {len(configs)} methods "
          f"x {args.trials} trials; wrote {args.out}")
@@ -194,8 +184,8 @@ def cmd_bench(args) -> int:
     configs = _method_configs(args)
     grid = bench.runtime_bench(ranks, tuple(configs), args.trials, f_m=args.fm,
                                m=args.m, n=args.n, seed=args.seed,
-                               configs=configs, threads=_trial_threads(args))
-    _log_threads(args, grid)
+                               configs=configs, threads=args.threads)
+    _log_threads(grid)
     mean_seconds = grid.cell_mean(lambda r: r.wall_time)[:, 0, :]
     i, k = np.indices(mean_seconds.shape).reshape(2, -1)
     matio.write_table(args.out, [("rank", "%d"), ("method", "%s"), ("mean_seconds", "%r"),
@@ -298,12 +288,7 @@ def main(argv=None) -> int:
         if hasattr(args, "out"):  # checked before any work, which a bad path would waste
             for suffix in ("", ".trace.csv") if args.command == "complete" else ("",):
                 matio.check_writable(args.out + suffix)
-        deterministic = getattr(args, "deterministic", False)
-        if deterministic and blas.threads() is None:
-            _log("warning: --deterministic: BLAS thread count unknown (no OpenBLAS found), "
-                 "so BLAS threads were not limited")
-        with blas.limit(1) if deterministic else nullcontext():
-            return args.func(args)
+        return args.func(args)
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return EXIT_ERROR

@@ -229,30 +229,31 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     DomainError says that ||P_O X||_F, rho0 or one of them does not fit a
     double at the data's scale; all-zero data is a ZeroNormInput. Hitting
     the cap is not an error: the trace carries a max_iters_reached flag.
-    Non-finite iterates abort with NonFiniteIterate. The loop runs under
-    blas.per_solve's count: one BLAS thread for a small matrix.
+    Non-finite iterates abort with NonFiniteIterate. The start and the loop
+    run under blas.per_solve's count, one BLAS thread for a small matrix, so
+    ||P_O X||_F and every rel_E are the same under any caller's count.
     """
     config = SolverConfig() if config is None else config
-    omega = np.flatnonzero(X.mask)
-    peak = float(np.max(np.abs(X.values)))  # 0 off the observed set
-    if peak == 0.0:
-        raise ZeroNormInput("all observed entries are zero; relative error undefined")
-    e = math.frexp(peak)[1]
-    unit = np.ldexp(X.values, -e)  # max|unit| in [1/2, 1)
-    x = unit.take(omega)
-    norm_x = float(np.linalg.norm(unit))  # zero-filled m x n: keeps rel_E's last bit
-    trace = IterTrace(norm_x=float(_ldexp_finite(norm_x, e, "||P_O X||_F")),
-                      full_rank=min(X.shape))
-    rho = (1.0 / (norm_estimate(unit) or math.ldexp(peak, -e)) if config.rho0 is None
-           else float(_ldexp_finite(config.rho0, e, "rho0")))
-    if rho == 0.0:
-        raise DomainError(f"rho0 {config.rho0!r} underflows at the data's scale")
-    del unit  # the loop reads x: one m x n array less at its peak
-    last = Shrinkage(np.zeros(X.shape), np.zeros(0), np.zeros((X.shape[1], 0)), "none")  # M = 0
-    Lambda = np.zeros(omega.size)
-
     with blas.limit(blas.per_solve(X.values.size)):
+        omega = np.flatnonzero(X.mask)
+        peak = float(np.max(np.abs(X.values)))  # 0 off the observed set
+        if peak == 0.0:
+            raise ZeroNormInput("all observed entries are zero; relative error undefined")
+        e = math.frexp(peak)[1]
+        unit = np.ldexp(X.values, -e)  # max|unit| in [1/2, 1)
+        x = unit.take(omega)
+        norm_x = float(np.linalg.norm(unit))  # zero-filled m x n: keeps rel_E's last bit
+        trace = IterTrace(norm_x=float(_ldexp_finite(norm_x, e, "||P_O X||_F")),
+                          full_rank=min(X.shape))
         trace.blas_threads = blas.threads()
+        rho = (1.0 / (norm_estimate(unit) or math.ldexp(peak, -e)) if config.rho0 is None
+               else float(_ldexp_finite(config.rho0, e, "rho0")))
+        if rho == 0.0:
+            raise DomainError(f"rho0 {config.rho0!r} underflows at the data's scale")
+        del unit  # the loop reads x: one m x n array less at its peak
+        last = Shrinkage(np.zeros(X.shape), np.zeros(0), np.zeros((X.shape[1], 0)), "none")  # M = 0
+        Lambda = np.zeros(omega.size)
+
         while True:
             t0 = time.perf_counter()
             rho_k = rho

@@ -14,7 +14,7 @@ import numpy as np
 
 import pytest
 
-from sirmc import spectral
+from sirmc import blas, spectral
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "scripts" / "ab_solves.py"
@@ -55,6 +55,11 @@ def test_a_tree_is_at_parity_with_itself():
     assert 0.0 < record["quality_b"]["worst_rel_rmse"] < 1e-6
     assert record["quality_b"]["failed"] == 0
     assert "quality of B: 92 iterations" in proc.stdout
+    # 2400 entries: each solve runs on one BLAS thread where the count is known.
+    counts = [] if blas.threads() is None else [1]
+    assert record["conditions"] == {"numpy": np.__version__, "cpus": blas.cpus(),
+                                    "blas_threads_a": counts, "blas_threads_b": counts}
+    assert f"conditions: numpy {np.__version__}, {blas.cpus()} CPUs" in proc.stdout
 
 
 def test_a_changed_iteration_count_exits_one(tmp_path):
@@ -113,3 +118,13 @@ def test_a_route_only_one_side_names_is_counted_on_both():
         "truncated": 0, "gram_block": 0, "gram": 1, "dense": 0, "lanczos": 2}
     # With no ROUTES on either side, the traces alone give the names.
     assert ab.route_names([(), ()], first) == ["dense", "gram", "lanczos"]
+
+
+def test_blas_counts_leave_out_unknown_counts():
+    ab = _script()
+    first = {("A", 0): (None, SimpleNamespace(blas_threads=2)),
+             ("A", 1): (None, SimpleNamespace(blas_threads=None)),
+             ("A", 2): (None, SimpleNamespace(blas_threads=1)),
+             ("B", 0): (None, SimpleNamespace())}  # a tree older than the field
+    assert ab.blas_counts(first, "A") == [1, 2]
+    assert ab.blas_counts(first, "B") == []

@@ -104,6 +104,7 @@ class TestPhaseSweep:
                       configs={"how": bench.config_for_method("how", **FAST)})
         a = phase_sweep((0.1,), (0.2, 0.4), ("how",), **kwargs)
         b = phase_sweep((0.1,), (0.2, 0.4), ("how",), threads=2, **kwargs)
+        assert (a.workers, b.workers) == (1, 2)
         assert np.array_equal(a.success_rate, b.success_rate)
         assert np.array_equal(a.mean_log10_rmse, b.mean_log10_rmse)
 
@@ -193,6 +194,16 @@ class TestPhaseSweep:
             phase_sweep((0.1,), (0.2,), ("how",), trials=1, m=10, n=8, seed=-1)
         with pytest.raises(InvalidSpec, match="seed must be >= 0"):
             runtime_bench((2,), ("how",), trials=1, m=10, n=8, seed=-1)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected_before_any_solve(self, monkeypatch, threads):
+        calls = []
+        monkeypatch.setattr(bench, "solve", lambda *args: calls.append(args))
+        with pytest.raises(InvalidSpec, match=f"threads must be >= 1, got {threads}"):
+            phase_sweep((0.1,), (0.2,), ("how",), trials=1, m=10, n=8, seed=0, threads=threads)
+        with pytest.raises(InvalidSpec, match="threads must be >= 1"):
+            runtime_bench((2,), ("how",), trials=1, m=10, n=8, seed=0, threads=threads)
+        assert calls == []
 
     def test_invalid_last_cell_rejected_before_any_solve(self, monkeypatch):
         calls = []

@@ -176,6 +176,17 @@ def test_small_solve_runs_on_one_thread_and_restores(monkeypatch):
     assert blas.threads() == before
 
 
+def test_small_solve_starts_under_its_own_count():
+    # ||P_O X||_F is a threaded dot product: on this instance its last bit,
+    # and so every rel_E, changes with the count it is taken under.
+    _two_threads()
+    X = gen_synthetic(SyntheticSpec(m=300, n=200, f_r=0.05, f_m=0.3, seed=10))[1]
+    _, default = completion.solve(X, FAST_CONFIG)
+    with blas.limit(1):
+        _, single = completion.solve(X, FAST_CONFIG)
+    assert single.norm_x == default.norm_x and single.rel_e == default.rel_e
+
+
 def test_solve_above_serial_entries_keeps_the_count(monkeypatch):
     before = _two_threads()
     monkeypatch.setattr(blas, "SERIAL_ENTRIES", 20 * 15 - 1)

@@ -182,6 +182,15 @@ class TestSweep:
         assert code == 1 and errors == ["error: seed must be >= 0, got -1"]
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
+                                         ["bench", "--ranks", "2"]])
+    def test_threads_below_one_is_one_error_line(self, tmp_path, capsys, command):
+        code = main([*command, "--threads", "0", "--trials", "1", "--methods", "nnm",
+                     "--m", "10", "--n", "8", "--out", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: threads must be >= 1, got 0"]
+        assert not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("command, error", [
         (["sweep", "--fr-values", "0.1,0.2,2", "--fm-values", "0.2"],
          "error: f_r must be in (0, 1], got 2.0"),
@@ -203,9 +212,6 @@ class TestSweep:
         share = min(before, blas.per_solve(12 * 10, 2))
         assert main(args) == 0
         assert (f"threads: 2 trial x {share} BLAS = {2 * share} on {nproc} CPUs"
-                in capsys.readouterr().err.splitlines())
-        assert main(args + ["--deterministic"]) == 0
-        assert (f"threads: 1 trial x 1 BLAS = 1 on {nproc} CPUs"
                 in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("command", [["sweep", "--fr-values", "0.1", "--fm-values", "0.2"],
@@ -250,10 +256,10 @@ class TestSweep:
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         args = ["sweep", "--fr-values", "0.1", "--fm-values", "0.2,0.4",
                 "--trials", "2", "--methods", "how,nnm", "--m", "30", "--n", "20",
-                "--seed", "7", "--deterministic", *FAST_SOLVER]
+                "--seed", "7", *FAST_SOLVER]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
+        assert main(args + ["--threads", "1", "--out", str(a)]) == 0
+        assert main(args + ["--threads", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -361,23 +367,16 @@ class TestParsing:
         assert args.xi == 1e-7
         assert args.max_iters == 1000
 
-    def test_deterministic_limits_blas_threads(self, tmp_path, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli, "cmd_complete", lambda args: seen.append(blas.threads()) or 0)
-        before = blas.threads()
-        code = main(["complete", "x.csv", "--deterministic", "--out", str(tmp_path / "o.csv")])
-        assert code == 0
-        assert seen == [1]
-        assert blas.threads() == before
-
-    def test_deterministic_without_openblas_logs_unknown_once(self, tmp_path, monkeypatch,
-                                                               capsys):
-        monkeypatch.setattr(blas, "_library", lambda: None)
-        inp = _write_matrix(tmp_path / "in.csv", np.eye(4) * 3.0)
-        code = main(["complete", inp, "--method", "nnm", "--deterministic",
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 0
-        assert capsys.readouterr().err.count("unknown") == 1
+    @pytest.mark.parametrize("command", [["complete", "x.csv"],
+                                         ["sweep", "--preset", "transition-grid"],
+                                         ["bench", "--ranks", "2"]])
+    def test_deterministic_is_not_a_flag(self, tmp_path, capsys, command):
+        # Below blas.SERIAL_ENTRIES every run is already bitwise repeatable;
+        # above it, OPENBLAS_NUM_THREADS=1 is the switch.
+        code = main([*command, "--deterministic", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert ("usage error: unrecognized arguments: --deterministic"
+                in capsys.readouterr().err)
 
     def test_complete_has_no_threads_flag(self, tmp_path, capsys):
         # Nor --seed: complete uses no randomness.
