@@ -209,13 +209,13 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     Each trial draws one (ground truth, mask) pair, shared across all methods
     to remove instance-to-instance variance from the comparison. Seeds derive
     from (cell row, cell column, trial), so parallel execution order cannot
-    change any number. Every cell's spec is checked before the first solve;
-    per-trial solver errors are recorded as failures, not raised. The tasks,
-    their draws and RMSEs included, run under blas.per_solve's share of the
-    CPUs, on min(threads, tasks) pool workers or in turn on one; the grid
-    records which. The BLAS count can change an RMSE's last bits, so below
-    blas.SERIAL_ENTRIES (one thread each way) any `threads` gives the same
-    numbers.
+    change any number. Every cell's spec, and that configs has each method,
+    is checked before the first solve; per-trial solver errors are recorded
+    as failures, not raised. The tasks, their draws and RMSEs included, run
+    under blas.per_solve's share of the CPUs, on min(threads, tasks) pool
+    workers or in turn on one; the grid records which. The BLAS count can
+    change an RMSE's last bits, so below blas.SERIAL_ENTRIES (one thread each
+    way) any `threads` gives the same numbers.
     """
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
@@ -228,6 +228,9 @@ def phase_sweep(f_r_values, f_m_values, methods, trials, m: int = 300, n: int = 
     methods = tuple(methods)
     if configs is None:
         configs = {method: config_for_method(method) for method in methods}
+    missing = [method for method in methods if method not in configs]
+    if missing:
+        raise InvalidSpec(f"no solver config for {', '.join(missing)}")
 
     specs = {(i, j, t): SyntheticSpec(m=m, n=n, f_r=f_r_values[i], f_m=f_m_values[j],
                                       seed=_trial_seed(seed, i, j, t))

@@ -37,7 +37,11 @@ PRESETS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so exit codes stay ours."""
+    """argparse that raises instead of exiting, so exit codes stay ours, and
+    reads no flag abbreviated: `sweep --method` is not `--methods`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -48,14 +52,9 @@ def _log(msg: str) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=penalties.METHODS, default="how",
-                   help="penalty / solver variant (default: how)")
     p.add_argument("--shape-ratio", type=float, default=None,
                    help="shape of the unit penalty (lam = 1), shrunk at lam_k as lam_k * "
                         "prox_1(sigma / lam_k); default is the kind's strict bound")
-    p.add_argument("--rho0", type=float, default=SolverConfig.rho0,
-                   help="initial penalty parameter (default: 1 / the observed data's "
-                        "spectral norm)")
     p.add_argument("--mu", type=float, default=SolverConfig.mu,
                    help="penalty growth factor; once the kept rank settles on a "
                         f"well-sampled instance rho grows by max(mu, {MU_SETTLED}), so "
@@ -97,8 +96,8 @@ def _log_threads(grid: bench.SweepGrid) -> None:
 
 
 def _solver_config(args, method: str) -> SolverConfig:
-    return bench.config_for_method(method, shape_ratio=args.shape_ratio, rho0=args.rho0,
-                                   mu=args.mu, xi=args.xi, max_iters=args.max_iters)
+    return bench.config_for_method(method, shape_ratio=args.shape_ratio, mu=args.mu,
+                                   xi=args.xi, max_iters=args.max_iters)
 
 
 def _parse_list(text: str, flag: str, kind=float, what="numbers") -> tuple:
@@ -242,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="complete a matrix from CSV files")
     p.add_argument("matrix", help="dense CSV; `nan` marks missing unless --mask is given")
     p.add_argument("--mask", default=None, help="observed-coordinate file (0-based i,j lines)")
+    p.add_argument("--method", choices=penalties.METHODS, default="how",
+                   help="penalty / solver variant (default: how)")
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_complete)

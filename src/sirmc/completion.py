@@ -89,10 +89,8 @@ class SolverConfig:
     rho_growth finds the iterate settled, then max(mu, MU_SETTLED); so a mu
     of at least MU_SETTLED = 1.3 gives a plain geometric schedule, and the
     paper's fixed mu holds on instances with few observations per degree of
-    freedom. The schedule start is otherwise unspecified; rho0 = None
-    starts it at the data's scale, rho0 = 1/||P_O X||_2
-    as in inexact ALM (Lin, Chen & Ma 2010), estimated by solve at unit scale;
-    a given rho0 is in data units: the unit-scale loop runs at rho0 * 2^e.
+    freedom. The paper leaves the schedule's start open; solve starts it at
+    the data's scale (see solve), so no setting has units.
     penalty is the unit penalty, at lam = 1 (default: penalties.how(1.0), at
     its strict shape), validated here once; iteration k shrinks with
     lam_k * prox_1(sigma / lam_k) at lam_k = 1/rho_k, the prox of the penalty
@@ -100,14 +98,11 @@ class SolverConfig:
     """
 
     penalty: Penalty = how(1.0)
-    rho0: Optional[float] = None  # None = 1 / ||P_O X||_2, resolved by solve
     mu: float = 1.05
     xi: float = 1e-7
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.rho0 is not None and not 0 < self.rho0 < math.inf:
-            raise NonPositiveParameter(f"rho0 must be positive and finite, got {self.rho0}")
         if not 1 < self.mu < math.inf:
             raise DomainError(f"mu must exceed 1 and be finite, got {self.mu}")
         if not 0 < self.xi < math.inf:
@@ -223,12 +218,13 @@ def _ldexp_finite(values, e: int, what: str) -> np.ndarray:
 def solve(X: ObservedMatrix, config: SolverConfig | None = None):
     """Run the ADMM loop until rel_E <= xi or max_iters; returns (M, trace).
 
-    The start and the loop run at unit scale: rho0 = 1/||P_O X||_2 from
-    spectral.norm_estimate, or 1/max|X| when its power steps find nothing
-    (|X_ij| <= ||P_O X||_2). M and the trace come back in data units, and a
-    DomainError says that ||P_O X||_F, rho0 or one of them does not fit a
-    double at the data's scale; all-zero data is a ZeroNormInput. Hitting
-    the cap is not an error: the trace carries a max_iters_reached flag.
+    The start and the loop run at unit scale: rho starts at 1/||P_O X||_2
+    from spectral.norm_estimate, as in inexact ALM (Lin, Chen & Ma 2010), or
+    at 1/max|X| when its power steps find nothing (|X_ij| <= ||P_O X||_2).
+    M and the trace come back in data units, and a DomainError says that
+    ||P_O X||_F or one of them does not fit a double at the data's scale;
+    all-zero data is a ZeroNormInput. Hitting the cap is not an error: the
+    trace carries a max_iters_reached flag.
     Non-finite iterates abort with NonFiniteIterate. The start and the loop
     run under blas.per_solve's count, one BLAS thread for a small matrix, so
     ||P_O X||_F and every rel_E are the same under any caller's count.
@@ -246,10 +242,7 @@ def solve(X: ObservedMatrix, config: SolverConfig | None = None):
         trace = IterTrace(norm_x=float(_ldexp_finite(norm_x, e, "||P_O X||_F")),
                           full_rank=min(X.shape))
         trace.blas_threads = blas.threads()
-        rho = (1.0 / (norm_estimate(unit) or math.ldexp(peak, -e)) if config.rho0 is None
-               else float(_ldexp_finite(config.rho0, e, "rho0")))
-        if rho == 0.0:
-            raise DomainError(f"rho0 {config.rho0!r} underflows at the data's scale")
+        rho = 1.0 / (norm_estimate(unit) or math.ldexp(peak, -e))
         del unit  # the loop reads x: one m x n array less at its peak
         last = Shrinkage(np.zeros(X.shape), np.zeros(0), np.zeros((X.shape[1], 0)), "none")  # M = 0
         Lambda = np.zeros(omega.size)

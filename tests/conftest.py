@@ -100,3 +100,18 @@ def tracing(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Each spectral.SvdTriplet.of call from here on, in call order, as
+    (D, above, result): the spy runs the real route choice and records it."""
+    from sirmc import spectral
+    of, calls = spectral.SvdTriplet.__dict__["of"].__func__, []
+
+    def spy(cls, D, above=None, start=None, gapped=False):
+        calls.append((D, above, of(cls, D, above, start, gapped)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
+    return calls

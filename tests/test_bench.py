@@ -212,6 +212,16 @@ class TestPhaseSweep:
             phase_sweep((0.1, 0.2, 2.0), (0.2,), ("nnm",), trials=2, m=10, n=8, seed=0)
         assert calls == []
 
+    def test_method_without_a_config_rejected_before_any_solve(self, monkeypatch):
+        calls, real = [], bench.solve
+        monkeypatch.setattr(bench, "solve", lambda X, cfg: calls.append(cfg) or real(X, cfg))
+        configs = {"how": bench.config_for_method("how")}
+        with pytest.raises(InvalidSpec, match="no solver config for nnm"):
+            phase_sweep((0.1,), (0.2,), ("how", "nnm"), 1, m=20, n=15, configs=configs)
+        with pytest.raises(InvalidSpec, match="no solver config for nnm"):
+            runtime_bench((2,), ("how", "nnm"), 1, m=20, n=15, configs=configs)
+        assert calls == []
+
     def test_cell_mean_reduces_each_cells_trials_in_order(self):
         # Eight or more trials take np.mean's pairwise sum; the grid must
         # reduce each cell exactly as a 1-D mean over its trials would.

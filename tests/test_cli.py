@@ -1,6 +1,7 @@
 """End-to-end CLI behavior and exit codes."""
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from sirmc import SyntheticSpec, bench, blas, cli, gen_synthetic, load_observed, rmse, save_matrix
+from sirmc import (SolverConfig, SyntheticSpec, bench, blas, cli, gen_synthetic, load_observed,
+                   rmse, save_matrix)
 from sirmc.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -378,6 +380,45 @@ class TestParsing:
         assert ("usage error: unrecognized arguments: --deterministic"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, flag", [
+        (["complete", str(DEMO_OBS)], "--rho0 1"),
+        (["sweep", "--preset", "paper-grid"], "--rho0 1"),
+        (["bench", "--ranks", "2"], "--rho0 1"),
+        (["sweep", "--preset", "paper-grid"], "--method hog"),
+        (["bench", "--ranks", "2"], "--method hog"),
+    ], ids=["complete-rho0", "sweep-rho0", "bench-rho0", "sweep-method", "bench-method"])
+    def test_unused_setting_is_not_a_flag(self, tmp_path, monkeypatch, capsys, command, flag):
+        # The start of rho is the data's, so no setting has units; sweep and
+        # bench solve each method of --methods, and read no flag abbreviated.
+        solves = []
+        monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+        monkeypatch.setattr(cli, "solve", lambda *args: solves.append(args))
+        code = main([*command, *flag.split(), "--out", str(tmp_path / "o.csv")])
+        assert code == 1 and solves == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: unrecognized arguments: {flag}"]
+
+    def test_solver_flags_are_the_config_fields(self):
+        # --shape-ratio plus one flag per SolverConfig setting, each with the
+        # field's default, on every solving command; --method names the one
+        # method of complete and prox-curve, --methods those of sweep and bench.
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        solver = argparse.ArgumentParser(add_help=False)
+        cli._add_solver_flags(solver)
+        flags = {a.option_strings[0]: a.default for a in solver._actions}
+        assert flags == {"--shape-ratio": None, **{
+            "--" + f.name.replace("_", "-"): f.default
+            for f in dataclasses.fields(SolverConfig) if f.name != "penalty"}}
+        for command in ("complete", "sweep", "bench"):
+            options = {a.option_strings[0]: a.default
+                       for a in sub.choices[command]._actions if a.option_strings}
+            assert flags.items() <= options.items(), command
+        for flag, owners in (("--method", {"complete", "prox-curve"}),
+                             ("--methods", {"sweep", "bench"})):
+            assert {c for c, p in sub.choices.items()
+                    if flag in p._option_string_actions} == owners, flag
+
     def test_complete_has_no_threads_flag(self, tmp_path, capsys):
         # Nor --seed: complete uses no randomness.
         for flag in ("--threads 2", "--seed 3"):
@@ -386,7 +427,7 @@ class TestParsing:
             assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--mu", "1"], ["--max-iters", "0"], ["--mu", "nan"],
-                                      ["--mu", "inf"], ["--xi", "inf"], ["--rho0", "inf"]])
+                                      ["--mu", "inf"], ["--xi", "inf"]])
     def test_bad_solver_flag_is_one_error_line(self, tmp_path, flag):
         proc = subprocess.run(
             [sys.executable, "-m", "sirmc", "complete", str(DEMO_OBS), *flag,
@@ -491,7 +532,7 @@ class TestParsing:
         assert bench.METHODS is penalties.METHODS and sirmc.METHODS is penalties.METHODS
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        for command in ("complete", "sweep", "bench", "prox-curve"):
+        for command in ("complete", "prox-curve"):
             [method] = [a for a in sub.choices[command]._actions if a.dest == "method"]
             assert method.choices is penalties.METHODS
         for command in ("sweep", "bench"):

@@ -69,15 +69,16 @@ def _start(M):
     return Shrinkage(M, np.zeros(0), np.zeros((M.shape[1], 0)), "none")
 
 
-def _first_shrink(X, cfg):
-    """update_m's M from a solve's start, M = Lambda = 0, at rho = cfg.rho0."""
+def _first_shrink(X, rho):
+    """update_m's M from a solve's start, M = Lambda = 0, at the given rho with
+    the default penalty."""
     x, omega = _observed(X)
-    return update_m(_start(np.zeros(X.shape)), x, np.zeros(x.size), cfg.rho0, cfg.penalty,
+    return update_m(_start(np.zeros(X.shape)), x, np.zeros(x.size), rho, SolverConfig().penalty,
                     omega).M
 
 
 def _start_rho(X, config):
-    """The rho0 a solve starts from, in data units: its trace's first rho."""
+    """The rho a solve starts from, in data units: its trace's first rho."""
     return solve(X, replace(config, max_iters=1))[1].rho[0]
 
 
@@ -166,20 +167,17 @@ class TestUpdateM:
     def test_first_iteration_shrinks_data(self):
         rng = np.random.Generator(np.random.Philox(3))
         X = _full(rng.standard_normal((6, 5)) * 50.0)
-        cfg = SolverConfig(rho0=1.0)
-        out = _first_shrink(X, cfg)
-        assert np.allclose(out, shrink_singular_values(X.values, cfg.penalty).M,
+        out = _first_shrink(X, rho=1.0)
+        assert np.allclose(out, shrink_singular_values(X.values, SolverConfig().penalty).M,
                            atol=1e-12)
 
     def test_subthreshold_data_maps_to_zero(self):
-        X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho0 = 100
-        cfg = SolverConfig(rho0=1e-2)
-        assert np.array_equal(_first_shrink(X, cfg), np.zeros((2, 2)))
+        X = _full(np.diag([0.5, 0.2]))  # spectral norm below 1/rho = 100
+        assert np.array_equal(_first_shrink(X, rho=1e-2), np.zeros((2, 2)))
 
     def test_two_by_two_diagonal_case(self):
         X = _full(np.array([[3.0, 0.0], [0.0, 0.5]]))
-        cfg = SolverConfig(rho0=1.0)
-        out = _first_shrink(X, cfg)
+        out = _first_shrink(X, rho=1.0)
         assert np.allclose(out, np.diag([3.0 - 3.0 * math.exp(-4.0), 0.0]), atol=1e-12)
 
     def test_flat_scatter_builds_d_bitwise(self, monkeypatch):
@@ -205,15 +203,15 @@ class TestUpdateM:
         rng = np.random.Generator(np.random.Philox(17))
         mask = np.array([[True, True, False], [True, False, True], [True, True, True]])
         X = ObservedMatrix(rng.standard_normal((3, 3)) * 2.0, mask)
-        cfg = SolverConfig(rho0=1.0)
-        rho = cfg.rho0
+        cfg = SolverConfig()
+        rho = 1.0
         M = rng.standard_normal((3, 3))
         Lam = np.where(mask, rng.standard_normal((3, 3)) * 0.1, 0.0)
         E = np.where(mask, 0.0, -M)  # the implicit complement fill
         D = X.values - E + Lam / rho
         x, omega = _observed(X)
         M_star = update_m(_start(M), x, Lam[mask], rho, cfg.penalty, omega).M
-        penalty = cfg.penalty  # rho0 = 1: the threshold is 1
+        penalty = cfg.penalty  # rho = 1: the threshold is 1
         grid_tol = penalty.lam / 200
 
         def objective(M):
@@ -394,10 +392,10 @@ class TestSolve:
     def test_nnm_first_iteration_is_svt(self):
         rng = np.random.Generator(np.random.Philox(8))
         X = _full(rng.standard_normal((8, 6)) * 4.0)
-        cfg = SolverConfig(penalty=soft_threshold(1.0), rho0=1.0, max_iters=1, xi=1e-30)
+        cfg = SolverConfig(penalty=soft_threshold(1.0), max_iters=1, xi=1e-30)
         M, trace = solve(X, cfg)
         U, s, Vh = np.linalg.svd(X.values, full_matrices=False)
-        svt = U @ np.diag(np.maximum(s - 1.0, 0.0)) @ Vh
+        svt = U @ np.diag(np.maximum(s - 1.0 / trace.rho[0], 0.0)) @ Vh
         assert np.max(np.abs(M - svt)) <= 1e-10
 
     def test_zero_observed_norm_rejected(self):
@@ -420,7 +418,7 @@ class TestSolve:
         rng = np.random.Generator(np.random.Philox(4))
         X = _full(rng.standard_normal((4, 4)) * 2.0)
         for method in ("nnm", "how", "hoc", "hog"):
-            cfg = bench.config_for_method(method, rho0=1e-5, mu=1e200, xi=1e-320, max_iters=10)
+            cfg = bench.config_for_method(method, mu=1e200, xi=1e-320, max_iters=10)
             with pytest.raises(NonFiniteIterate):
                 solve(X, cfg)
 
@@ -581,24 +579,18 @@ def _protocol_instance(f_r=0.05, f_m=0.3, m=300, n=200):
 
 
 @pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
-def test_truncated_shrink_matches_dense_svd_every_iteration(method, monkeypatch):
+def test_truncated_shrink_matches_dense_svd_every_iteration(method, svd_calls):
     # Spy on every shrink of a protocol solve: the values kept above 1/rho
     # must be exactly those of the dense SVD of the same D (the oracle's).
     _, X_obs = _protocol_instance()
-    of = spectral.SvdTriplet.__dict__["of"].__func__
+    _, trace = solve(X_obs, bench.config_for_method(method))
     truncated = []
-
-    def spy(cls, D, above=None, start=None, gapped=False):
-        svd = of(cls, D, above, start, gapped)
-        s = of(cls, D).S
+    for D, above, svd in svd_calls:
+        s = np.linalg.svd(D, compute_uv=False)
         kept = svd.S[svd.S > above]
         assert kept.size == np.count_nonzero(s > above)
         assert np.max(np.abs(kept - s[:kept.size]), initial=0.0) <= 1e-10 * s[0]
         truncated.append(svd.route != "dense")
-        return svd
-
-    monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
-    _, trace = solve(X_obs, bench.config_for_method(method))
     assert len(truncated) == trace.iters
     assert sum(truncated) >= 0.9 * trace.iters  # the spy saw the fast path
     assert [route == "dense" for route in trace.route] == [not t for t in truncated]
@@ -628,20 +620,12 @@ def test_truncated_solve_matches_dense_solve(cell, methods, monkeypatch):
         assert abs(rel_fast - rel_dense) <= 1e-3 * rel_dense
 
 
-def test_trace_records_each_shrinks_route(monkeypatch):
+def test_trace_records_each_shrinks_route(svd_calls):
     # At 150x100 and rank 20 the kept spectrum outgrows the truncated block:
     # those shrinks take the Gram route, and the trace says which did.
     _, X_obs = gen_synthetic(SyntheticSpec(m=150, n=100, f_r=0.2, f_m=0.3, seed=1))
-    of = spectral.SvdTriplet.__dict__["of"].__func__
-    routes = []
-
-    def spy(cls, D, above=None, start=None, gapped=False):
-        routes.append(of(cls, D, above, start, gapped))
-        return routes[-1]
-
-    monkeypatch.setattr(spectral.SvdTriplet, "of", classmethod(spy))
     _, trace = solve(X_obs, bench.config_for_method("how", mu=1.10))
-    assert trace.route == [svd.route for svd in routes]
+    assert trace.route == [svd.route for _, _, svd in svd_calls]
     assert "gram" in trace.route and "dense" not in trace.route
 
 
@@ -686,19 +670,13 @@ def test_trace_norm_m_is_read_from_the_shrunk_values(monkeypatch):
 
 
 class TestDefaultRho0:
-    """rho0 = None starts the schedule at 1 / ||P_O X||_2 (inexact ALM's start)."""
+    """A solve starts the schedule at 1 / ||P_O X||_2 (inexact ALM's start)."""
 
     def test_resolved_from_a_lower_bound_on_the_norm(self):
         _, X_obs = _protocol_instance()
         s1 = np.linalg.norm(X_obs.values, 2)
         threshold = 1.0 / _start_rho(X_obs, SolverConfig())
         assert 0.5 * s1 <= threshold <= s1 * (1 + 1e-12)
-
-    def test_explicit_rho0_is_exact(self):
-        _, X_obs = _protocol_instance()
-        assert _start_rho(X_obs, SolverConfig(rho0=0.3)) == 0.3
-        with pytest.raises(NonPositiveParameter):
-            SolverConfig(rho0=0.0)
 
     def test_zero_data_has_no_scale(self):
         X = ObservedMatrix(np.zeros((3, 3)), np.ones((3, 3), dtype=bool))
@@ -778,46 +756,42 @@ def test_solve_is_scale_equivariant(method):
 def test_power_of_two_scaling_is_exact():
     # Scaling by 2^k is exact, and the loop runs on the data divided by the
     # power of two of its largest entry: solve(2^k X) is 2^k solve(X) bitwise,
-    # iteration for iteration, across the exponent range of the doubles.
+    # iteration for iteration, across the exponent range of the doubles. No
+    # setting has units: a config that sets every one is scale-free too.
     _, X_obs = gen_synthetic(SyntheticSpec(m=60, n=40, f_r=0.05, f_m=0.3, seed=1))
-    M, trace = solve(X_obs, SolverConfig())
-    for k in (-1000, -600, -1, 1, 600, 1000, 1017):
-        M_k, trace_k = solve(ObservedMatrix(np.ldexp(X_obs.values, k), X_obs.mask),
-                             SolverConfig())
-        assert trace_k.iters == trace.iters, k
-        assert np.array_equal(M_k, np.ldexp(M, k)), k
-        assert trace_k.rel_e == trace.rel_e, k
-        assert all(map(math.isfinite, trace_k.feas + trace_k.delta_m + trace_k.rho)), k
-
-
-def test_explicit_rho0_stays_in_data_units():
-    # A given rho0 is the data's; the trace's rho column is too.
-    _, X_obs = gen_synthetic(SyntheticSpec(m=30, n=20, f_r=0.1, f_m=0.3, seed=4))
-    cfg = SolverConfig(rho0=0.3, max_iters=5, xi=1e-30)
-    _, trace = solve(ObservedMatrix(np.ldexp(X_obs.values, 40), X_obs.mask), cfg)
-    assert trace.rho[0] == 0.3
-    with pytest.raises(DomainError, match="underflows"):
-        solve(ObservedMatrix(X_obs.values * 1e-100, X_obs.mask), SolverConfig(rho0=1e-250))
+    for cfg in (SolverConfig(), bench.config_for_method("hog", shape_ratio=0.5, mu=1.3,
+                                                        xi=1e-9, max_iters=60)):
+        M, trace = solve(X_obs, cfg)
+        for k in (-1000, -600, -1, 1, 600, 1000, 1017):
+            M_k, trace_k = solve(ObservedMatrix(np.ldexp(X_obs.values, k), X_obs.mask), cfg)
+            assert trace_k.iters == trace.iters, (cfg, k)
+            assert np.array_equal(M_k, np.ldexp(M, k)), (cfg, k)
+            assert trace_k.rel_e == trace.rel_e, (cfg, k)
+            assert all(map(math.isfinite, trace_k.feas + trace_k.delta_m + trace_k.rho)), k
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("method", ["nnm", "how", "hoc", "hog"])
 def test_zero_filled_input_flagged(method):
-    # An absolute rho0 = 1e-2 on data scaled by 1e2 keeps every singular
-    # value and "converges" to the zero-filled input; the default does not.
+    # A fully observed full-rank matrix keeps every singular value: its answer
+    # is the input itself, and it is flagged. The protocol cell at scale 1e2
+    # is completed, not flagged.
+    G = np.random.Generator(np.random.Philox(8)).standard_normal((8, 6))
+    _, trace = solve(_full(G), bench.config_for_method(method))
+    assert max(trace.kept_rank) == 6
+    assert "zero_filled_input" in convergence_diagnostics(trace)
     _, X_obs = gen_synthetic(SyntheticSpec(m=300, n=200, f_r=0.05, f_m=0.3, seed=20240501))
     X = ObservedMatrix(X_obs.values * 1e2, X_obs.mask)
-    _, trace = solve(X, bench.config_for_method(method, rho0=1e-2))
-    assert "zero_filled_input" in convergence_diagnostics(trace)
     _, trace = solve(X, bench.config_for_method(method))
     assert "zero_filled_input" not in convergence_diagnostics(trace)
 
 
 def test_zero_filled_input_flag_on_early_convergence():
-    # A rank-1 matrix under a first threshold far below its norm: the second
-    # iteration returns it exactly, without any shrink keeping every value.
+    # A fully observed rank-1 matrix, whose first threshold 1/||X||_2 keeps its
+    # one value: the second iteration returns it exactly, without any shrink
+    # keeping every value.
     X = _full(np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
-    _, trace = solve(X, SolverConfig(penalty=soft_threshold(1.0), rho0=1e3))
+    _, trace = solve(X, SolverConfig(penalty=soft_threshold(1.0)))
     assert trace.iters <= completion.EARLY_ITERS and not trace.max_iters_reached
     assert max(trace.kept_rank) < min(X.shape)
     assert "zero_filled_input" in convergence_diagnostics(trace)

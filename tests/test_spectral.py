@@ -273,21 +273,13 @@ def test_route_follows_the_shape(rng, m, n, k, route):
     assert out.route == route and out.rank == k
 
 
-def test_trace_route_counts_match_the_shrinks(monkeypatch):
+def test_trace_route_counts_match_the_shrinks(svd_calls):
     # At 150x100, rank 10, 65% missing, the solve takes three routes, none
     # truncated (after the first shrink BLOCK_DIVISOR blocks no longer fit
     # in 100); the trace holds one route per shrink, as SvdTriplet.of returned it.
     _, X_obs = bench.gen_synthetic(bench.SyntheticSpec(m=150, n=100, f_r=0.1, f_m=0.65, seed=1))
-    of = SvdTriplet.__dict__["of"].__func__
-    routes = Counter()
-
-    def spy(cls, D, above=None, start=None, gapped=False):
-        svd = of(cls, D, above, start, gapped)
-        routes[svd.route] += 1
-        return svd
-
-    monkeypatch.setattr(SvdTriplet, "of", classmethod(spy))
     _, trace = solve(X_obs, bench.config_for_method("how", mu=1.10, max_iters=250))
+    routes = Counter(svd.route for _, _, svd in svd_calls)
     assert Counter(trace.route) == routes
     assert set(routes) == {"gram_block", "gram", "dense"}
 
