@@ -118,6 +118,9 @@ def _method_configs(args) -> dict:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:
         raise UsageError(f"--methods: no method named in {args.methods!r}")
+    repeated = [m for k, m in enumerate(methods) if m in methods[:k]]
+    if repeated:
+        raise UsageError(f"--methods: {repeated[0]} named more than once")
     configs = {m: _solver_config(args, m) for m in methods}
     _refuse_unused_shape(methods, "--shape-ratio", args.shape_ratio)
     return configs
@@ -208,7 +211,7 @@ def cmd_prox_curve(args) -> int:
     rows = (args.xmax - args.xmin) / args.step
     if not rows < MAX_CURVE_ROWS:
         raise DomainError(f"--step {args.step!r} gives {rows:.3g} rows, over {MAX_CURVE_ROWS:g}")
-    count = int(round(rows)) + 1
+    count = int(rows * (1 + 1e-9)) + 1  # the points at or below --xmax
     xs = args.xmin + args.step * np.arange(count)
     # First: the oracle refuses a grid too large for these rows before it allocates one.
     reg = penalties.implicit_regularizer(penalty, xs)

@@ -165,6 +165,6 @@ def write_table(path, columns, data) -> None:
 def check_writable(path) -> None:
     """An IoError naming path unless a file can be written there; creates and truncates nothing."""
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+    if not path or os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
             path if os.path.exists(path) else parent, os.W_OK):
-        raise IoError(f"{path}: cannot write a file there")
+        raise IoError(f"{path or repr(path)}: cannot write a file there")

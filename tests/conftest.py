@@ -6,10 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from sirmc import cauchy_generator, generic, gmc_generator, hoc, hog, how, welsch_generator
+from sirmc import Penalty, cauchy_generator, generic, gmc_generator, selftest, welsch_generator
 from sirmc.selftest import default_penalties
-
-LAM = 1.0
 
 # Each hybrid kind's generated twin, by method: the family lam -> the
 # framework's generic penalty from the generator the kind splices, at the
@@ -71,18 +69,28 @@ def closed_form_loss(method, lam, shape, x):
                     CLOSED_FORMS[method][1](lam, shape, np.maximum(ax, lam)))
 
 
-def boundary_penalties():
-    """The four named kinds at threshold 1 with strict boundary shapes."""
-    return default_penalties()
+def caught_in(suite, kind, fault, name="prox_eval"):
+    """The kinds a failing selftest suite names, [] if it passes, with selftest's
+    `name` (prox_eval, loss_eval or shrink_singular_values) returning
+    fault(x, value) for the penalties of this kind alone (x: the input, value:
+    the real output)."""
+    real = getattr(selftest, name)
 
+    def faulty(*args, **kwargs):
+        value = real(*args, **kwargs)
+        p, x = args[:2] if isinstance(args[0], Penalty) else args[1::-1]
+        return fault(np.asarray(x, dtype=float), value) if p.kind == kind else value
 
-def nonconvex_penalties():
-    return [how(LAM), hoc(LAM), hog(LAM)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selftest, name, faulty)
+        result = suite()
+    return [] if result.passed else [p.kind for p in default_penalties()
+                                     if f"{p.kind} FAILS" in result.detail]
 
 
 @pytest.fixture(params=["soft", "how", "hoc", "hog"])
 def penalty(request):
-    return {p.kind: p for p in boundary_penalties()}[request.param]
+    return {p.kind: p for p in default_penalties()}[request.param]
 
 
 @pytest.fixture

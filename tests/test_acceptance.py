@@ -10,27 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from sirmc import (
-    bench,
-    gen_synthetic,
-    loss_eval,
-    moreau_argmin_oracle,
-    phase_sweep,
-    prox_eval,
-    runtime_bench,
-    shrink_singular_values,
-    soft_threshold,
-    solve,
-    SyntheticSpec,
-)
+from sirmc import SyntheticSpec, bench, gen_synthetic, phase_sweep, runtime_bench, selftest, solve
 from sirmc.cli import main
 
-from conftest import boundary_penalties, nonconvex_penalties
-
 pytestmark = pytest.mark.acceptance
-
-GRID_STEP = 1.0 / 200
-
 
 def _report(num, desc, ok, detail=""):
     line = f"[ACCEPTANCE {num}] {'PASS' if ok else 'FAIL'}: {desc}"
@@ -39,79 +22,37 @@ def _report(num, desc, ok, detail=""):
     print(line, flush=True)
 
 
+# Criteria 1-4 are the selftest suites, each reported from its own detail.
+def _run_suites(num, desc, *suites):
+    results = [suite() for suite in suites]
+    ok = all(r.passed for r in results)
+    _report(num, desc, ok, "; ".join(r.detail for r in results))
+    return ok
+
+
 def test_01_prox_oracle_equivalence():
-    xs = np.linspace(-5.0, 5.0, 50)
     t0 = time.perf_counter()
-    worst_arg = worst_val = 0.0
-    for p in boundary_penalties():
-        argmin, minval = moreau_argmin_oracle(p, xs)
-        worst_arg = max(worst_arg, float(np.max(np.abs(argmin - np.asarray(prox_eval(p, xs))))))
-        worst_val = max(worst_val, float(np.max(np.abs(minval - np.asarray(loss_eval(p, xs))))))
+    result = selftest.suite_moreau_oracle()
     elapsed = time.perf_counter() - t0
-    ok = worst_arg <= GRID_STEP and worst_val <= 1e-4 and elapsed < 60.0
+    ok = result.passed and elapsed < 60.0
     _report(1, "Moreau-envelope oracle agrees with closed-form prox/loss", ok,
-            f"argmin gap {worst_arg:.2e} <= {GRID_STEP}, value gap {worst_val:.2e} <= 1e-4, "
-            f"{elapsed:.1f}s")
+            f"{result.detail}, {elapsed:.1f}s < 60s")
     assert ok
 
 
 def test_02_moreau_gradient_identity():
-    h = 1e-4
-    worst = 0.0
-    for p in boundary_penalties():
-        xs = np.linspace(-5.0, 5.0, 200)
-        xs = xs[np.minimum(np.abs(xs - p.lam), np.abs(xs + p.lam)) > 1e-3]
-        fd = (np.asarray(loss_eval(p, xs + h)) - np.asarray(loss_eval(p, xs - h))) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(fd - (xs - np.asarray(prox_eval(p, xs)))))))
-    ok = worst <= 1e-5
-    _report(2, "d/dx loss = x - prox(x) by central differences", ok,
-            f"max gap {worst:.2e} <= 1e-5")
-    assert ok
+    assert _run_suites(2, "d/dx loss = x - prox(x) by central differences, loss C1 and even",
+                       selftest.suite_loss_smoothness)
 
 
 def test_03_sir_property_suite():
-    checks = []
-    grid = np.linspace(-10.0, 10.0, 10001)
-    for p in boundary_penalties():
-        vals = np.asarray(prox_eval(p, grid))
-        checks.append(np.array_equal(np.asarray(prox_eval(p, -grid)), -vals))  # odd, exact
-        checks.append(bool(np.all(np.diff(vals) >= 0.0)))                      # monotone
-        inside = np.abs(grid) <= p.lam
-        checks.append(bool(np.all(vals[inside] == 0.0)))                       # prox=0 inside
-        checks.append(bool(np.all(vals[~inside] != 0.0)))                      # nonzero outside
-        checks.append(prox_eval(p, p.lam) == 0.0 and p.lam - prox_eval(p, p.lam) == p.lam)
-    xs = np.linspace(1.0, 10.0, 2001)
-    soft_vals = np.asarray(prox_eval(soft_threshold(1.0), xs))
-    for p in nonconvex_penalties():
-        b = xs - np.asarray(prox_eval(p, xs))
-        checks.append(bool(np.all(b <= p.lam + 1e-12)))
-        checks.append(bool(np.all(np.diff(b) <= 1e-12)))
-        checks.append(bool(np.all(np.asarray(prox_eval(p, xs)) >= soft_vals - 1e-12)))
-    ok = all(checks)
-    _report(3, "oddness, monotonicity, thresholding, bias dominance, bias(lam)=lam",
-            ok, f"{sum(checks)}/{len(checks)} checks")
-    assert ok
+    assert _run_suites(3, "oddness, thresholding, monotonicity, bias dominance, bias(lam)=lam",
+                       selftest.suite_oddness, selftest.suite_thresholding,
+                       selftest.suite_monotone, selftest.suite_bias_dominance)
 
 
 def test_04_spectral_shrinkage():
-    rng = np.random.Generator(np.random.Philox(2024))
-    worst_spec = worst_unit = 0.0
-    for p in boundary_penalties():
-        for _ in range(20):
-            D = rng.standard_normal((30, 20)) * 2.0
-            out = shrink_singular_values(D, p).M
-            s_in = np.linalg.svd(D, compute_uv=False)
-            s_out = np.linalg.svd(out, compute_uv=False)
-            expected = np.sort(np.asarray(prox_eval(p, s_in)))[::-1]
-            worst_spec = max(worst_spec, float(np.max(np.abs(s_out - expected))))
-            Q1, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-            Q2, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-            direct = shrink_singular_values(Q1 @ D @ Q2.T, p).M
-            worst_unit = max(worst_unit, float(np.max(np.abs(direct - Q1 @ out @ Q2.T))))
-    ok = worst_spec <= 1e-8 and worst_unit <= 1e-8
-    _report(4, "spectrum contract and unitary invariance on 20 random 30x20 per penalty",
-            ok, f"spec {worst_spec:.2e}, unitary {worst_unit:.2e}, tol 1e-8")
-    assert ok
+    assert _run_suites(4, "spectrum contract and unitary invariance", selftest.suite_spectral)
 
 
 @pytest.mark.slow

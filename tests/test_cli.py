@@ -310,6 +310,14 @@ class TestProxCurve:
         expected = np.sign(rows[:, 0]) * np.maximum(np.abs(rows[:, 0]) - 1.0, 0.0)
         assert np.allclose(rows[:, 2], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("xmax, last", [(5.5, 5.0), (2.6, 2.0), (3.0, 3.0)])
+    def test_no_row_past_xmax(self, tmp_path, xmax, last):
+        out = tmp_path / "curve.csv"
+        assert main(["prox-curve", "--xmin", "0", "--xmax", str(xmax), "--step", "1",
+                     "--out", str(out)]) == 0
+        xs = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert xs == [float(x) for x in range(int(last) + 1)]
+
     def test_nonpositive_step_usage_error(self, tmp_path):
         code = main(["prox-curve", "--step", "0", "--out", str(tmp_path / "c.csv")])
         assert code == 1
@@ -464,11 +472,12 @@ class TestParsing:
         for owner, name in ((bench, "phase_sweep"), (cli, "solve"),
                             (cli.penalties, "implicit_regularizer")):
             monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
-        out = tmp_path / "missing" / "x.csv"
-        assert main(args + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {out}: cannot write a file there"]
-        assert calls == [] and not out.parent.exists()
+        missing = tmp_path / "missing" / "x.csv"
+        for out, named in ((str(missing), str(missing)), ("", "''")):
+            assert main(args + ["--out", out]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {named}: cannot write a file there"]
+        assert calls == [] and not missing.parent.exists()
 
     def test_an_existing_out_keeps_its_bytes_when_a_run_fails(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -503,6 +512,18 @@ class TestParsing:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             f"usage error: --methods: no method named in {methods!r}"]
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--preset", "paper-grid"],
+                                         ["bench", "--ranks", "2"]], ids=lambda c: c[0])
+    def test_repeated_method_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        for owner, name in ((bench, "phase_sweep"), (bench, "runtime_bench")):
+            monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("solved"))
+        code = main([*command, "--trials", "1", "--methods", "how,nnm, how",
+                     "--out", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: --methods: how named more than once"]
         assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize("args, message", [

@@ -16,9 +16,12 @@ from sirmc import (
     loss_eval,
     moreau_argmin_oracle,
     prox_eval,
+    selftest,
     soft_threshold,
 )
 from sirmc.errors import DomainError, NonFiniteInput
+
+from conftest import caught_in
 
 GRID_STEP = 1.0 / 200  # default for lam = 1
 
@@ -66,11 +69,11 @@ class TestMoreauOracle:
         assert 0.5 * (2.0 - y_star) ** 2 + 1.0 * reg == pytest.approx(
             loss_eval(p, 2.0), abs=1e-4)
 
-    def test_oracle_certifies_all_kinds(self, penalty):
-        xs = np.linspace(-4.0, 4.0, 11)
-        argmin, minval = moreau_argmin_oracle(penalty, xs)
-        assert np.max(np.abs(argmin - np.asarray(prox_eval(penalty, xs)))) <= GRID_STEP
-        assert np.max(np.abs(minval - np.asarray(loss_eval(penalty, xs)))) <= 1e-4
+    def test_selftest_catches_a_prox_off_the_oracle(self):
+        # selftest.suite_moreau_oracle, run by acceptance criterion 1, certifies
+        # every kind; here it must name the one whose prox is 4 grid steps off.
+        four_steps_off = lambda x, v: v + 4.0 * GRID_STEP * np.sign(v)
+        assert caught_in(selftest.suite_moreau_oracle, "hoc", four_steps_off) == ["hoc"]
 
 
 ORACLES = [implicit_regularizer, moreau_argmin_oracle]

@@ -1,4 +1,5 @@
-"""Loss/prox values against the closed forms, splice constants, and the scalar invariants."""
+"""Loss/prox values against the closed forms, splice constants, and controls of the
+scalar-invariant suites."""
 
 import itertools
 import math
@@ -24,6 +25,7 @@ from sirmc import (
     loss_eval,
     make_penalty,
     prox_eval,
+    selftest,
     soft_threshold,
     validate,
     welsch_generator,
@@ -37,14 +39,9 @@ from sirmc.errors import (
     ZeroDerivativeAtThreshold,
 )
 from sirmc.penalties import STRICT_SHAPE_RATIO
+from sirmc.selftest import default_penalties
 
-from conftest import (
-    GENERATOR_TWINS,
-    boundary_penalties,
-    closed_form_loss,
-    closed_form_prox,
-    nonconvex_penalties,
-)
+from conftest import GENERATOR_TWINS, caught_in, closed_form_loss, closed_form_prox
 
 
 class TestValidate:
@@ -235,11 +232,6 @@ class TestProxValues:
     def test_below_threshold_is_exact_zero(self):
         assert prox_eval(how(1.0), -0.7) == 0.0
 
-    def test_zero_at_threshold_for_all_kinds(self):
-        for p in boundary_penalties():
-            assert prox_eval(p, 1.0) == 0.0
-            assert prox_eval(p, -1.0) == 0.0
-
     @pytest.mark.parametrize("x", [1e160, 1e300])
     @pytest.mark.parametrize("method", ["how", "hoc", "hog"])
     def test_far_out_values_are_the_limit(self, method, x):
@@ -264,7 +256,7 @@ class TestProxValues:
 
 class TestBias:
     def test_equals_lam_at_threshold(self):
-        for p in boundary_penalties():
+        for p in default_penalties():
             assert bias(p, 1.0) == 1.0
 
     def test_how_vanishes_far_out(self):
@@ -280,57 +272,44 @@ class TestBias:
 
 
 class TestScalarInvariants:
+    # Each invariant is checked once, by its selftest suite, which acceptance
+    # criteria 2 and 3 run. These controls plant a fault in one kind and
+    # require the suite to fail and name that kind.
     def test_oddness_exact_on_grid(self, penalty):
-        xs = np.linspace(0.0, 12.0, 4001)
-        assert np.array_equal(np.asarray(prox_eval(penalty, -xs)),
-                              -np.asarray(prox_eval(penalty, xs)))
+        one_ulp_off = lambda x, v: np.where(x < -2.0, np.nextafter(v, 0.0), v)
+        assert caught_in(selftest.suite_oddness, penalty.kind, one_ulp_off) == [penalty.kind]
 
     def test_thresholding_iff(self, penalty):
-        xs = np.linspace(-10.0, 10.0, 10001)
-        vals = np.asarray(prox_eval(penalty, xs))
-        inside = np.abs(xs) <= penalty.lam
-        assert np.all(vals[inside] == 0.0)
-        assert np.all(vals[~inside] != 0.0)
+        for fault in (lambda x, v: np.where(np.abs(x) == 1.0, 1e-300 * x, v),  # nonzero at lam
+                      lambda x, v: np.where(np.abs(x - 1.5) < 0.01, 0.0, v)):  # zero beyond
+            assert caught_in(selftest.suite_thresholding, penalty.kind, fault) == [penalty.kind]
 
     def test_monotone_nondecreasing(self, penalty):
-        xs = np.linspace(-10.0, 10.0, 10001)
-        assert np.all(np.diff(np.asarray(prox_eval(penalty, xs))) >= 0.0)
+        drop = lambda x, v: v - 0.01 * (x > 3.0)
+        assert caught_in(selftest.suite_monotone, penalty.kind, drop) == [penalty.kind]
 
     def test_bias_bounded_and_nonincreasing(self):
-        xs = np.linspace(1.0, 10.0, 2001)
-        p_soft = soft_threshold(1.0)
-        soft_vals = np.asarray(prox_eval(p_soft, xs))
-        for p in nonconvex_penalties():
-            b = np.asarray(bias(p, xs))
-            assert np.all(b <= 1.0 + 1e-12)
-            assert np.all(np.diff(b) <= 1e-12)
-            assert np.all(np.asarray(prox_eval(p, xs)) >= soft_vals - 1e-12)
+        for fault in (lambda x, v: np.where(x == 1.0, -1e-13, v),  # bias(lam) > lam, in tolerance
+                      lambda x, v: np.where(x > 5.0, np.minimum(v, x - 1.0 - 1e-6), v),  # < soft
+                      lambda x, v: v - 0.01 * (x > 5.0)):  # bias jumps up (for soft, past lam)
+            for kind in METHODS.values():
+                assert caught_in(selftest.suite_bias_dominance, kind, fault) == [kind]
 
     def test_loss_even_and_c1_at_threshold(self, penalty):
-        xs = np.linspace(0.0, 8.0, 1601)
-        assert np.array_equal(np.asarray(loss_eval(penalty, -xs)),
-                              np.asarray(loss_eval(penalty, xs)))
-        h = 1e-7
-        lam = penalty.lam
-        left = (loss_eval(penalty, lam) - loss_eval(penalty, lam - h)) / h
-        right = (loss_eval(penalty, lam + h) - loss_eval(penalty, lam)) / h
-        assert abs(left - right) <= 1e-6
+        for fault in (lambda x, v: np.where(x < -2.0, np.nextafter(v, np.inf), v),
+                      lambda x, v: v + 1e-3 * np.clip(np.abs(x) - 1.0, 0.0, 1e-4)):  # kink at lam
+            assert caught_in(selftest.suite_loss_smoothness, penalty.kind, fault,
+                             "loss_eval") == [penalty.kind]
 
     def test_moreau_gradient_identity(self, penalty):
-        xs = np.linspace(-5.0, 5.0, 401)
-        lam = penalty.lam
-        xs = xs[np.minimum(np.abs(xs - lam), np.abs(xs + lam)) > 1e-3]
-        h = 1e-4
-        fd = (np.asarray(loss_eval(penalty, xs + h))
-              - np.asarray(loss_eval(penalty, xs - h))) / (2 * h)
-        expected = xs - np.asarray(prox_eval(penalty, xs))
-        assert np.max(np.abs(fd - expected)) <= 1e-5
+        assert caught_in(selftest.suite_loss_smoothness, penalty.kind,
+                         lambda x, v: v * (1.0 + 1e-4)) == [penalty.kind]
 
 
 @given(x=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_prox_odd_property(x):
-    for p in boundary_penalties():
+    for p in default_penalties():
         assert prox_eval(p, -x) == -prox_eval(p, x)
 
 
@@ -338,7 +317,7 @@ def test_prox_odd_property(x):
        gap=st.floats(min_value=1e-6, max_value=10.0))
 @settings(max_examples=200, deadline=None)
 def test_prox_monotone_property(x, gap):
-    for p in boundary_penalties():
+    for p in default_penalties():
         assert prox_eval(p, x) <= prox_eval(p, x + gap)
 
 

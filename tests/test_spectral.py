@@ -1,7 +1,8 @@
-"""Singular-value shrinkage: spectrum contract and unitary invariance."""
+"""Singular-value shrinkage: its routes, and controls of the spectral suites."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from sirmc.errors import NonFiniteInput, NonFiniteIterate, SvdFailure
 from sirmc.spectral import norm_estimate
 from sirmc import selftest, spectral
 from sirmc.selftest import TRUNCATION_CASES, planted
+
+from conftest import caught_in
 
 
 def _rand_orthogonal(rng, n):
@@ -54,24 +57,24 @@ def test_rotated_diagonal_example(rng):
     assert np.max(np.abs(out - expected)) <= 1e-8
 
 
-def test_spectrum_contract(rng, penalty):
-    for _ in range(5):
-        D = rng.standard_normal((12, 9)) * 2.0
-        out = shrink_singular_values(D, penalty).M
-        s_in = np.linalg.svd(D, compute_uv=False)
-        s_out = np.linalg.svd(out, compute_uv=False)
-        expected = np.sort(np.asarray(prox_eval(penalty, s_in)))[::-1]
-        assert np.max(np.abs(s_out - expected)) <= 1e-8
+# The spectrum contract and unitary invariance are checked once, by
+# selftest.suite_spectral, which acceptance criterion 4 runs. These controls
+# plant a fault in one kind's shrink and require the suite to fail and name it.
+def test_spectrum_contract(penalty):
+    for fault in (lambda D, out: replace(out, M=out.M * (1.0 + 1e-6)),
+                  lambda D, out: replace(out, M=out.M + 1e-300)):  # 0.5 I no longer maps to 0
+        assert caught_in(selftest.suite_spectral, penalty.kind, fault,
+                         "shrink_singular_values") == [penalty.kind]
 
 
-def test_unitary_invariance(rng, penalty):
-    for _ in range(5):
-        D = rng.standard_normal((10, 6)) * 1.5
-        Q1 = _rand_orthogonal(rng, 10)
-        Q2 = _rand_orthogonal(rng, 6)
-        direct = shrink_singular_values(Q1 @ D @ Q2.T, penalty).M
-        rotated = Q1 @ shrink_singular_values(D, penalty).M @ Q2.T
-        assert np.max(np.abs(direct - rotated)) <= 1e-8
+def test_unitary_invariance(penalty):
+    def flip_first_row(D, out):  # keeps the spectrum, breaks the invariance
+        M = out.M.copy()
+        M[0] *= -1.0
+        return replace(out, M=M)
+
+    assert caught_in(selftest.suite_spectral, penalty.kind, flip_first_row,
+                     "shrink_singular_values") == [penalty.kind]
 
 
 def test_subthreshold_spectral_norm_maps_to_zero(rng, penalty):
@@ -169,6 +172,12 @@ def test_selftest_planted_cases_take_every_route(monkeypatch):
     assert selftest.suite_truncated_shrink().passed
     assert {route: taken[route] for route in spectral.ROUTES} == {
         "truncated": 8, "gram_block": 4, "gram": 8, "dense": 4}
+
+
+def test_selftest_catches_a_fast_route_off_the_dense_one():
+    off = lambda D, out: out if out.route == "dense" else replace(out, M=out.M * (1.0 + 1e-6))
+    assert caught_in(selftest.suite_truncated_shrink, "how", off,
+                     "shrink_singular_values") == ["how"]
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.9])
